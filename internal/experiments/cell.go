@@ -1,17 +1,15 @@
 package experiments
 
 import (
-	"sync"
-	"sync/atomic"
-
 	"phasemark/internal/obs"
+	"phasemark/internal/store"
 )
 
-// Process-wide cell metrics, mirrored from every cell's local stats so the
-// suite's cache behavior is visible in `spexp -metrics` output. A "miss"
-// is a fresh computation (including the retry after a failed flight); a
-// "join" waited on another caller's successful flight; a "join_err" waited
-// on a flight whose leader failed — distinct from a retry, which computes.
+// Process-wide cell metrics, so the suite's cache behavior is visible in
+// `spexp -metrics` output. A "miss" is a fresh computation (including the
+// retry after a failed flight); a "join" waited on another caller's
+// successful flight; a "join_err" waited on a flight whose leader failed —
+// distinct from a retry, which computes.
 var (
 	obsCellHits     = obs.NewCounter("cell.hit")
 	obsCellMisses   = obs.NewCounter("cell.miss")
@@ -20,147 +18,38 @@ var (
 	obsCellErrs     = obs.NewCounter("cell.compute_err")
 )
 
-// cellStats is a point-in-time read of one cell's (or one cellMap's
-// aggregated) access counts.
-type cellStats struct {
-	Hits     uint64 // value already cached
-	Misses   uint64 // ran compute (first call, or fresh retry after an error)
-	Joins    uint64 // waited on an in-flight compute that succeeded
-	JoinErrs uint64 // waited on an in-flight compute whose leader failed
-	Errs     uint64 // computes (own misses) that returned an error
-}
-
-func (s cellStats) add(o cellStats) cellStats {
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Joins += o.Joins
-	s.JoinErrs += o.JoinErrs
-	s.Errs += o.Errs
-	return s
-}
-
-// cell is a once-computed memoization slot with singleflight semantics:
-// the first caller computes, concurrent callers block on that computation
-// (not on a suite-wide lock) and share its outcome, and a successful value
-// is cached forever. Errors are deliberately NOT cached — the in-flight
-// waiters of a failed computation receive the leader's error, but the next
-// caller retries from scratch, so a transient failure can't poison the
-// suite for the rest of the run.
+// cellMap is a keyed set of singleflight memoization cells: a store.Memo
+// (the first caller of a key computes, concurrent callers block on that
+// computation rather than on a suite-wide lock, a successful value is
+// cached forever, errors are not) whose outcomes feed the cell counters.
 //
 // No lock is held while compute runs, so a compute function may freely
-// call get on *other* cells (the figure harnesses chain graph → marker set
-// → trace → clustering). Re-entering the *same* cell from its own compute
+// call get on *other* keys (the figure harnesses chain graph → marker set
+// → trace → clustering). Re-entering the *same* key from its own compute
 // function would deadlock, exactly like a recursive sync.Once.Do.
-type cell[T any] struct {
-	mu       sync.Mutex
-	done     bool
-	val      T
-	inflight *flight[T]
-
-	// Access accounting (see cellStats). Atomics rather than mu-guarded
-	// fields because join outcomes are learned after the flight channel
-	// closes, outside the lock.
-	hits, misses, joins, joinErrs, errs atomic.Uint64
-}
-
-// flight is one in-progress computation; waiters block on ch and then read
-// val/err, which are written exactly once before ch is closed.
-type flight[T any] struct {
-	ch  chan struct{}
-	val T
-	err error
-}
-
-// get returns the cached value, joins an in-flight computation, or runs
-// compute itself.
-func (c *cell[T]) get(compute func() (T, error)) (T, error) {
-	c.mu.Lock()
-	if c.done {
-		v := c.val
-		c.mu.Unlock()
-		c.hits.Add(1)
-		obsCellHits.Inc()
-		return v, nil
-	}
-	if f := c.inflight; f != nil {
-		c.mu.Unlock()
-		<-f.ch
-		if f.err != nil {
-			// Joined a failed flight: the waiter shares the leader's error
-			// but did no work — counted apart from the fresh retry the next
-			// caller will perform.
-			c.joinErrs.Add(1)
-			obsCellJoinErrs.Inc()
-		} else {
-			c.joins.Add(1)
-			obsCellJoins.Inc()
-		}
-		return f.val, f.err
-	}
-	f := &flight[T]{ch: make(chan struct{})}
-	c.inflight = f
-	c.mu.Unlock()
-	c.misses.Add(1)
-	obsCellMisses.Inc()
-
-	f.val, f.err = compute()
-
-	c.mu.Lock()
-	if f.err == nil {
-		c.val, c.done = f.val, true
-	} else {
-		c.errs.Add(1)
-		obsCellErrs.Inc()
-	}
-	c.inflight = nil
-	c.mu.Unlock()
-	close(f.ch)
-	return f.val, f.err
-}
-
-// stats reads the cell's access counts. Counts are loaded individually;
-// a snapshot taken during concurrent gets is consistent per counter, not
-// across counters.
-func (c *cell[T]) stats() cellStats {
-	return cellStats{
-		Hits:     c.hits.Load(),
-		Misses:   c.misses.Load(),
-		Joins:    c.joins.Load(),
-		JoinErrs: c.joinErrs.Load(),
-		Errs:     c.errs.Load(),
-	}
-}
-
-// cellMap is a keyed collection of cells. The map lock is held only to
-// find-or-create the key's cell; the computation itself synchronizes on
-// the cell, so distinct keys compute concurrently.
 type cellMap[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*cell[V]
+	memo store.Memo[K, V]
 }
 
-// get finds or creates the cell for k and delegates to cell.get.
+// get returns k's cached value, joins its in-flight computation, or runs
+// compute itself.
 func (cm *cellMap[K, V]) get(k K, compute func() (V, error)) (V, error) {
-	cm.mu.Lock()
-	if cm.m == nil {
-		cm.m = map[K]*cell[V]{}
+	v, outcome, err := cm.memo.DoOutcome(k, compute)
+	switch {
+	case outcome == store.Hit:
+		obsCellHits.Inc()
+	case outcome == store.Joined && err != nil:
+		// Joined a failed flight: the waiter shares the leader's error but
+		// did no work — counted apart from the fresh retry the next caller
+		// will perform.
+		obsCellJoinErrs.Inc()
+	case outcome == store.Joined:
+		obsCellJoins.Inc()
+	default:
+		obsCellMisses.Inc()
+		if err != nil {
+			obsCellErrs.Inc()
+		}
 	}
-	c := cm.m[k]
-	if c == nil {
-		c = &cell[V]{}
-		cm.m[k] = c
-	}
-	cm.mu.Unlock()
-	return c.get(compute)
-}
-
-// stats aggregates the access counts of every cell in the map.
-func (cm *cellMap[K, V]) stats() cellStats {
-	cm.mu.Lock()
-	defer cm.mu.Unlock()
-	var s cellStats
-	for _, c := range cm.m {
-		s = s.add(c.stats())
-	}
-	return s
+	return v, err
 }

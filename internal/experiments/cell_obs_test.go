@@ -9,15 +9,15 @@ import (
 	"phasemark/internal/obs"
 )
 
-// cellCounterNames are the process-wide metrics every cell mirrors its
-// local stats into (see the var block at the top of cell.go).
+// cellCounterNames are the process-wide metrics every cellMap access
+// feeds (see the var block at the top of cell.go).
 var cellCounterNames = []string{
 	"cell.hit", "cell.miss", "cell.join", "cell.join_err", "cell.compute_err",
 }
 
 // snapCellCounters reads the registry's cell counters by name —
 // obs.NewCounter find-or-creates, so this observes the same counters the
-// cells increment.
+// cellMaps increment.
 func snapCellCounters() map[string]uint64 {
 	s := make(map[string]uint64, len(cellCounterNames))
 	for _, name := range cellCounterNames {
@@ -27,7 +27,7 @@ func snapCellCounters() map[string]uint64 {
 }
 
 // TestCellObsCounterDeltas drives each cell access pattern against a
-// fresh cell and asserts the exact delta it leaves on the process-wide
+// fresh cellMap and asserts the exact delta it leaves on the process-wide
 // obs counters, alongside the error each caller must observe. The
 // registry is process-global, so each case measures before/after deltas
 // rather than absolute values (the package's tests run sequentially).
@@ -35,7 +35,7 @@ func TestCellObsCounterDeltas(t *testing.T) {
 	boom := errors.New("boom")
 	cases := []struct {
 		name string
-		// run drives a fresh cell and returns the errors its callers saw,
+		// run drives a fresh cellMap and returns the errors its callers saw,
 		// in a scenario-defined order.
 		run  func(t *testing.T) []error
 		want map[string]uint64
@@ -44,9 +44,9 @@ func TestCellObsCounterDeltas(t *testing.T) {
 		{
 			name: "compute then hit",
 			run: func(t *testing.T) []error {
-				var c cell[int]
-				_, err1 := c.get(func() (int, error) { return 1, nil })
-				_, err2 := c.get(func() (int, error) { return 2, nil })
+				var c cellMap[string, int]
+				_, err1 := c.get("k", func() (int, error) { return 1, nil })
+				_, err2 := c.get("k", func() (int, error) { return 2, nil })
 				return []error{err1, err2}
 			},
 			want: map[string]uint64{"cell.miss": 1, "cell.hit": 1},
@@ -55,11 +55,11 @@ func TestCellObsCounterDeltas(t *testing.T) {
 		{
 			name: "compute error propagates and is retried",
 			run: func(t *testing.T) []error {
-				var c cell[int]
-				_, err1 := c.get(func() (int, error) { return 0, boom })
+				var c cellMap[string, int]
+				_, err1 := c.get("k", func() (int, error) { return 0, boom })
 				// Errors are not cached: the next caller computes afresh.
-				_, err2 := c.get(func() (int, error) { return 7, nil })
-				_, err3 := c.get(func() (int, error) { return 8, nil })
+				_, err2 := c.get("k", func() (int, error) { return 7, nil })
+				_, err3 := c.get("k", func() (int, error) { return 8, nil })
 				return []error{err1, err2, err3}
 			},
 			want: map[string]uint64{"cell.miss": 2, "cell.compute_err": 1, "cell.hit": 1},
@@ -68,7 +68,7 @@ func TestCellObsCounterDeltas(t *testing.T) {
 		{
 			name: "join of a successful flight",
 			run: func(t *testing.T) []error {
-				var c cell[int]
+				var c cellMap[string, int]
 				entered := make(chan struct{})
 				release := make(chan struct{})
 				var wg sync.WaitGroup
@@ -76,7 +76,7 @@ func TestCellObsCounterDeltas(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, errs[0] = c.get(func() (int, error) {
+					_, errs[0] = c.get("k", func() (int, error) {
 						close(entered)
 						<-release
 						return 42, nil
@@ -86,7 +86,7 @@ func TestCellObsCounterDeltas(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, errs[1] = c.get(func() (int, error) { return 0, errors.New("waiter must not compute") })
+					_, errs[1] = c.get("k", func() (int, error) { return 0, errors.New("waiter must not compute") })
 				}()
 				time.Sleep(50 * time.Millisecond) // let the waiter block on the flight
 				close(release)
@@ -99,7 +99,7 @@ func TestCellObsCounterDeltas(t *testing.T) {
 		{
 			name: "join of a failed flight",
 			run: func(t *testing.T) []error {
-				var c cell[int]
+				var c cellMap[string, int]
 				entered := make(chan struct{})
 				release := make(chan struct{})
 				var wg sync.WaitGroup
@@ -107,7 +107,7 @@ func TestCellObsCounterDeltas(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, errs[0] = c.get(func() (int, error) {
+					_, errs[0] = c.get("k", func() (int, error) {
 						close(entered)
 						<-release
 						return 0, boom
@@ -117,7 +117,7 @@ func TestCellObsCounterDeltas(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					_, errs[1] = c.get(func() (int, error) { return 0, errors.New("waiter must not compute") })
+					_, errs[1] = c.get("k", func() (int, error) { return 0, errors.New("waiter must not compute") })
 				}()
 				time.Sleep(50 * time.Millisecond)
 				close(release)

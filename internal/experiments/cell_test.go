@@ -25,7 +25,7 @@ func runWithDeadline(t *testing.T, d time.Duration, fn func()) {
 }
 
 func TestCellConcurrentCallersShareOneComputation(t *testing.T) {
-	var c cell[int]
+	var c cellMap[string, int]
 	var computes atomic.Int32
 	var wg sync.WaitGroup
 	vals := make([]int, 32)
@@ -33,7 +33,7 @@ func TestCellConcurrentCallersShareOneComputation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := c.get(func() (int, error) {
+			v, err := c.get("k", func() (int, error) {
 				computes.Add(1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
 				return 42, nil
@@ -56,7 +56,7 @@ func TestCellConcurrentCallersShareOneComputation(t *testing.T) {
 }
 
 func TestCellErrorsAreNotCached(t *testing.T) {
-	var c cell[int]
+	var c cellMap[string, int]
 	boom := errors.New("boom")
 	var computes atomic.Int32
 
@@ -69,7 +69,7 @@ func TestCellErrorsAreNotCached(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, err := c.get(func() (int, error) {
+			_, err := c.get("k", func() (int, error) {
 				computes.Add(1)
 				<-release
 				return 0, boom
@@ -90,7 +90,7 @@ func TestCellErrorsAreNotCached(t *testing.T) {
 	}
 
 	// The failure is not cached: the next caller retries and can succeed.
-	v, err := c.get(func() (int, error) {
+	v, err := c.get("k", func() (int, error) {
 		computes.Add(1)
 		return 7, nil
 	})
@@ -102,7 +102,7 @@ func TestCellErrorsAreNotCached(t *testing.T) {
 	}
 
 	// And the success IS cached.
-	v, err = c.get(func() (int, error) {
+	v, err = c.get("k", func() (int, error) {
 		computes.Add(1)
 		return -1, nil
 	})
@@ -114,60 +114,80 @@ func TestCellErrorsAreNotCached(t *testing.T) {
 	}
 }
 
+// cellDeltas reports how far each cell counter moved since before.
+func cellDeltas(before map[string]uint64) map[string]uint64 {
+	d := map[string]uint64{}
+	for name, v := range snapCellCounters() {
+		if v != before[name] {
+			d[name] = v - before[name]
+		}
+	}
+	return d
+}
+
+func checkDeltas(t *testing.T, stage string, got, want map[string]uint64) {
+	t.Helper()
+	for _, name := range cellCounterNames {
+		if got[name] != want[name] {
+			t.Errorf("%s: %s delta = %d, want %d (all deltas %v)", stage, name, got[name], want[name], got)
+		}
+	}
+}
+
 func TestCellStatsAccounting(t *testing.T) {
-	var c cell[int]
+	var c cellMap[string, int]
 	boom := errors.New("boom")
+	before := snapCellCounters()
 
 	// A failing leader with concurrent waiters: the leader is one miss
 	// (and one compute error); each waiter is a join_err, NOT a miss —
 	// they did no work and must not be confused with the fresh retry
 	// below.
+	entered := make(chan struct{})
+	var enterOnce sync.Once
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	for range 4 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c.get(func() (int, error) {
+			c.get("k", func() (int, error) {
+				enterOnce.Do(func() { close(entered) })
 				<-release
 				return 0, boom
 			})
 		}()
 	}
-	for c.stats().Misses == 0 {
-		time.Sleep(time.Millisecond) // wait for a leader to take the flight
-	}
+	<-entered                         // a leader took the flight
 	time.Sleep(20 * time.Millisecond) // let the other three pile up as waiters
 	close(release)
 	wg.Wait()
-	if s := c.stats(); s != (cellStats{Misses: 1, JoinErrs: 3, Errs: 1}) {
-		t.Errorf("after failed flight: stats = %+v, want 1 miss, 3 join_errs, 1 err", s)
-	}
+	checkDeltas(t, "after failed flight", cellDeltas(before),
+		map[string]uint64{"cell.miss": 1, "cell.join_err": 3, "cell.compute_err": 1})
 
 	// The fresh retry after the failure is a distinct miss.
-	if _, err := c.get(func() (int, error) { return 7, nil }); err != nil {
+	if _, err := c.get("k", func() (int, error) { return 7, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if s := c.stats(); s.Misses != 2 || s.JoinErrs != 3 {
-		t.Errorf("after retry: stats = %+v, want 2 misses keeping 3 join_errs", s)
-	}
+	checkDeltas(t, "after retry", cellDeltas(before),
+		map[string]uint64{"cell.miss": 2, "cell.join_err": 3, "cell.compute_err": 1})
 
 	// Cached reads are hits.
-	c.get(func() (int, error) { return -1, nil })
-	c.get(func() (int, error) { return -1, nil })
-	if s := c.stats(); s.Hits != 2 {
-		t.Errorf("after cached reads: stats = %+v, want 2 hits", s)
-	}
+	c.get("k", func() (int, error) { return -1, nil })
+	c.get("k", func() (int, error) { return -1, nil })
+	checkDeltas(t, "after cached reads", cellDeltas(before),
+		map[string]uint64{"cell.hit": 2, "cell.miss": 2, "cell.join_err": 3, "cell.compute_err": 1})
 
 	// Waiters on a successful flight are joins.
-	var c2 cell[int]
+	var c2 cellMap[string, int]
+	before = snapCellCounters()
 	started := make(chan struct{})
 	go2 := make(chan struct{})
 	var wg2 sync.WaitGroup
 	wg2.Add(1)
 	go func() {
 		defer wg2.Done()
-		c2.get(func() (int, error) {
+		c2.get("k", func() (int, error) {
 			close(started)
 			<-go2
 			return 1, nil
@@ -178,25 +198,23 @@ func TestCellStatsAccounting(t *testing.T) {
 		wg2.Add(1)
 		go func() {
 			defer wg2.Done()
-			c2.get(func() (int, error) { return 0, errors.New("never runs") })
+			c2.get("k", func() (int, error) { return 0, errors.New("never runs") })
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)
 	close(go2)
 	wg2.Wait()
-	if s := c2.stats(); s != (cellStats{Misses: 1, Joins: 2}) {
-		t.Errorf("successful flight: stats = %+v, want 1 miss, 2 joins", s)
-	}
+	checkDeltas(t, "successful flight", cellDeltas(before),
+		map[string]uint64{"cell.miss": 1, "cell.join": 2})
 }
 
 func TestCellMapStatsAggregate(t *testing.T) {
 	var cm cellMap[string, int]
+	before := snapCellCounters()
 	cm.get("a", func() (int, error) { return 1, nil }) // miss
 	cm.get("a", func() (int, error) { return 1, nil }) // hit
 	cm.get("b", func() (int, error) { return 2, nil }) // miss
-	if s := cm.stats(); s != (cellStats{Hits: 1, Misses: 2}) {
-		t.Errorf("cellMap stats = %+v, want 1 hit, 2 misses", s)
-	}
+	checkDeltas(t, "cellMap", cellDeltas(before), map[string]uint64{"cell.hit": 1, "cell.miss": 2})
 }
 
 func TestCellReentrantChainDoesNotDeadlock(t *testing.T) {

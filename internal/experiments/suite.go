@@ -68,32 +68,6 @@ type wdata struct {
 	clusters cellMap[string, *simpoint.Clustering]
 }
 
-// CellStats aggregates the hit/miss/join accounting of every singleflight
-// cell the suite has created so far (workload data plus each workload's
-// graphs, marker sets, traces, and clusterings).
-func (s *Suite) CellStats() cellStats {
-	agg := s.data.stats()
-	s.data.mu.Lock()
-	ds := make([]*cell[*wdata], 0, len(s.data.m))
-	for _, c := range s.data.m {
-		ds = append(ds, c)
-	}
-	s.data.mu.Unlock()
-	for _, c := range ds {
-		c.mu.Lock()
-		d := c.val
-		c.mu.Unlock()
-		if d == nil {
-			continue
-		}
-		agg = agg.add(d.graphs.stats())
-		agg = agg.add(d.sets.stats())
-		agg = agg.add(d.traces.stats())
-		agg = agg.add(d.clusters.stats())
-	}
-	return agg
-}
-
 // The suite-level spans below time the actual artifact computations (cell
 // misses) with the workload name as the span argument; cache hits and
 // joins cost no span. Finer-grained spans inside core / trace / simpoint

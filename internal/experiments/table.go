@@ -10,16 +10,16 @@
 // # Memoization re-entrancy contract
 //
 // Expensive artifacts (compiled programs, profiled graphs, marker sets,
-// traces) are memoized in singleflight cells (cell.go): the first caller
-// computes, concurrent callers block on that flight and share its
-// outcome, successful values are cached forever, and errors are never
-// cached. No lock is held while a compute function runs, so a compute MAY
-// call get on other cells — the figure harnesses chain graph → marker set
-// → trace → clustering this way, and internal/store.Memo extends the same
-// contract to the phased service. A compute MUST NOT re-enter the cell
-// (or, for keyed maps, the key) it is computing: that deadlocks, exactly
-// like a recursive sync.Once.Do. Keep compute dependency chains acyclic
-// in one direction — earlier pipeline stages never call later ones.
+// traces) are memoized in singleflight cells (cell.go, on store.Memo,
+// which the phased service uses too): the first caller computes,
+// concurrent callers block on that flight and share its outcome,
+// successful values are cached forever, and errors are never cached. No
+// lock is held while a compute function runs, so a compute MAY call get
+// on other keys — the figure harnesses chain graph → marker set → trace
+// → clustering this way. A compute MUST NOT re-enter the key it is
+// computing: that deadlocks, exactly like a recursive sync.Once.Do. Keep
+// compute dependency chains acyclic in one direction — earlier pipeline
+// stages never call later ones.
 package experiments
 
 import (

@@ -3,13 +3,14 @@ package store
 import "sync"
 
 // Memo is the in-memory counterpart of Store: a keyed, compute-once cache
-// with singleflight semantics, generalizing the unexported cell pattern of
-// internal/experiments for values that are too expensive (or impossible)
-// to serialize to disk — compiled programs, profiled graphs, traced
-// executions. The first requester of a key computes, concurrent
-// requesters block on that one computation, and a successful value is
-// cached for the Memo's lifetime. Errors are not cached: waiters of a
-// failed flight share the leader's error, and the next requester retries.
+// with singleflight semantics for values that are too expensive (or
+// impossible) to serialize to disk — compiled programs, profiled graphs,
+// traced executions. It backs both the phased pipeline and the
+// internal/experiments suite cache. The first requester of a key
+// computes, concurrent requesters block on that one computation, and a
+// successful value is cached for the Memo's lifetime. Errors are not
+// cached: waiters of a failed flight share the leader's error, and the
+// next requester retries.
 //
 // The same re-entrancy contract as Store.GetOrCompute applies: compute
 // runs with no lock held, so it may Do other keys (or other Memos), but

@@ -11,15 +11,14 @@
 // reader can never observe a partial artifact; leftover temporaries from a
 // crashed writer are swept on Open.
 //
-// GetOrCompute extends the singleflight cell pattern of
-// internal/experiments (see cell.go there) from an in-memory
-// compute-once cache to a disk-backed one: concurrent requesters of the
-// same key block on one leader's disk-check-then-compute flight instead of
-// computing redundantly, and — exactly like the cell — errors are not
-// cached, so the flight of a failed compute is forgotten and the next
-// caller retries from scratch. Unlike the cell, a finished flight is
-// dropped from memory: the disk is the durable cache, and process memory
-// holds only in-progress work.
+// GetOrCompute extends the singleflight pattern of Memo (memo.go) from an
+// in-memory compute-once cache to a disk-backed one: concurrent
+// requesters of the same key block on one leader's disk-check-then-compute
+// flight instead of computing redundantly, and — exactly like Memo —
+// errors are not cached, so the flight of a failed compute is forgotten
+// and the next caller retries from scratch. Unlike Memo, a finished
+// flight is dropped from memory: the disk is the durable cache, and
+// process memory holds only in-progress work.
 package store
 
 import (

@@ -6,9 +6,7 @@ import (
 	"sync"
 
 	"phasemark/internal/bbv"
-	"phasemark/internal/core"
 	"phasemark/internal/minivm"
-	"phasemark/internal/uarch"
 )
 
 // This file is the pipeline-parallel streaming engine behind
@@ -18,25 +16,28 @@ import (
 //   - Single execution (Scale <= 1): a record/replay split. The
 //     interpreter runs on a producer goroutine with one flat observer
 //     that encodes every event as a tagged word into a bounded ring of
-//     buffers; the caller goroutine replays the words through the exact
-//     observer sequence the serial path uses (cutter/detector, timing
-//     model, BBV accumulator, collector, Sink). The ring gives
-//     backpressure — the interpreter traces ahead while analysis
-//     consumes — and replaying the total event order reproduces every
-//     cut, counter, and snapshot by construction.
+//     buffers; the caller goroutine replays the words into the run's
+//     analysisStack in the exact observer sequence the serial path uses
+//     (cutter/detector, timing model, BBV accumulator, collector, Sink).
+//     The ring gives backpressure — the interpreter traces ahead while
+//     analysis consumes — and replaying the total event order reproduces
+//     every cut, counter, and snapshot by construction.
 //
 //   - Amplified execution (Scale >= 2): rep-parallel workers. Each of
-//     min(Workers, Scale) workers owns a full machine + observer stack
-//     and runs repetitions rep = w, w+W, w+2W, ... as independent cold
-//     executions (Scale's contract), streaming rep-local chunks through
-//     a bounded per-worker ring. The caller-side reducer consumes
-//     chunks rep-major — all of rep 0, then rep 1, ... — rebases them
-//     onto the global instruction axis, and feeds the Sink in order.
+//     min(Workers, Scale) workers owns an analysisStack and runs the
+//     serial repetition loop (analysisStack.repeat) with stride W:
+//     repetitions w, w+W, w+2W, ... as independent cold executions
+//     (Scale's contract), streaming rep-local chunks through a bounded
+//     per-worker ring. The caller-side reducer consumes chunks rep-major
+//     — all of rep 0, then rep 1, ... — rebases them onto the global
+//     instruction axis, and feeds the Sink in order.
 //     Because every repetition is cold, rep r's interval sequence does
 //     not depend on which worker ran it or when, so the merged stream
-//     equals the serial one byte for byte; only chunk boundaries may
-//     differ (each repetition flushes its tail), and chunk partitioning
-//     was never part of the streaming contract.
+//     equals the serial one byte for byte. Both loops flush each
+//     repetition's tail, though chunk partitioning was never part of
+//     the streaming contract.
+//
+// Neither regime returns while a goroutine it started is still running.
 const (
 	// eventBufWords is the capacity of one event buffer (~256KB). Big
 	// enough that handoff synchronization is negligible against the
@@ -182,42 +183,6 @@ func blockTable(p *minivm.Program) []*minivm.Block {
 	return t
 }
 
-// analysisStack is the consumer-side observer state shared by both
-// engine regimes: the same components, built the same way, as the
-// serial path wires into the machine.
-type analysisStack struct {
-	cpu   *uarch.CPU
-	col   *collector
-	det   *core.Detector
-	fixed *FixedCutter
-}
-
-func newAnalysisStack(cfg Config) *analysisStack {
-	s := &analysisStack{cpu: uarch.NewCPU(cfg.CPU, cfg.Prog)}
-	s.col = &collector{
-		cpu:      s.cpu,
-		acc:      bbv.NewAccumulator(cfg.Prog.NumBlocks),
-		skipBBV:  cfg.SkipBBV,
-		sink:     cfg.Sink,
-		curPhase: ProloguePhase,
-	}
-	chunk := cfg.ChunkSize
-	if chunk <= 0 {
-		chunk = intervalChunk
-	}
-	s.col.arena = make([]Interval, 0, chunk)
-	if cfg.FixedLen > 0 {
-		s.fixed = NewFixedCutter(cfg.FixedLen, func(at uint64) {
-			s.col.cut(ProloguePhase, at)
-		})
-	} else {
-		s.det = core.NewDetector(cfg.Prog, nil, cfg.Markers, func(marker int, at uint64) {
-			s.col.cut(marker, at)
-		})
-	}
-	return s
-}
-
 // runSplit is the single-execution record/replay regime: one producer
 // goroutine interprets, the caller replays events through the analysis
 // stack in the serial observer order.
@@ -227,9 +192,6 @@ func runSplit(cfg Config) (*Result, error) {
 		mask |= minivm.EvCall | minivm.EvReturn
 	}
 	stop := make(chan struct{})
-	var stopOnce sync.Once
-	defer stopOnce.Do(func() { close(stop) })
-
 	rec := &eventRecorder{
 		mask:   mask,
 		buf:    make([]uint64, 0, eventBufWords),
@@ -253,12 +215,24 @@ func runSplit(cfg Config) (*Result, error) {
 		prodInstrs = m.Instructions()
 		close(rec.filled) // happens-after the writes above
 	}()
+	// join stops the producer's deliveries and waits for it to finish,
+	// draining what is in flight without replaying it. It runs on every
+	// return path, a sink panic included.
+	var joinOnce sync.Once
+	join := func() {
+		joinOnce.Do(func() {
+			close(stop)
+			for range rec.filled {
+			}
+		})
+	}
+	defer join()
 
 	// The analysis stack is constructed on the consumer side exactly as
 	// the serial path constructs it; in marker mode the detector's
 	// walker fires entry-edge opens here, before any event replays,
 	// just as NewDetector does before the serial machine starts.
-	s := newAnalysisStack(cfg)
+	s := newAnalysisStack(cfg, cfg.Sink)
 	blocks := blockTable(cfg.Prog)
 	procs := cfg.Prog.Procs
 	skip := cfg.SkipBBV
@@ -298,14 +272,10 @@ func runSplit(cfg Config) (*Result, error) {
 		}
 		rec.free <- buf[:0]
 		if s.col.err != nil {
-			// Sink error: stop the producer's deliveries and drain what
-			// is already in flight without replaying it.
-			stopOnce.Do(func() { close(stop) })
-			for range rec.filled {
-			}
-			break
+			break // sink error: stop replaying
 		}
 	}
+	join()
 	if prodErr != nil {
 		// Same precedence as the serial path: a failed execution trumps
 		// a sink error (the poisoned collector just kept it from
@@ -324,18 +294,7 @@ func runSplit(cfg Config) (*Result, error) {
 	if s.col.err != nil {
 		return nil, fmt.Errorf("trace: sink: %w", s.col.err)
 	}
-	res := &Result{
-		Total:        s.cpu.Counters(),
-		Instructions: total,
-		NumBlocks:    cfg.Prog.NumBlocks,
-	}
-	if s.det != nil {
-		res.MarkerFires = s.det.TotalFired()
-	}
-	obsTraceRuns.Inc()
-	obsIntervals.Add(uint64(s.col.count))
-	obsMarkerFires.Add(res.MarkerFires)
-	return res, nil
+	return finish(cfg, nil, s.col.count, runTotals{instrs: total, perf: s.cpu.Counters(), fires: s.fired()}), nil
 }
 
 // repChunk is the rep-parallel transfer unit: a deep copy of one
@@ -344,14 +303,12 @@ func runSplit(cfg Config) (*Result, error) {
 // idx/val arenas. A chunk with last set closes a repetition and carries
 // its totals; err reports a worker failure.
 type repChunk struct {
-	ivs    []Interval
-	idx    []int32
-	val    []float64
-	last   bool
-	instrs uint64         // repetition length (last only)
-	perf   uarch.Counters // repetition timing totals (last only)
-	fires  uint64         // repetition marker fires (last only)
-	err    error
+	ivs  []Interval
+	idx  []int32
+	val  []float64
+	last bool
+	tot  runTotals // repetition totals (last only)
+	err  error
 }
 
 // fill deep-copies chunk into tc, translating worker-cumulative
@@ -385,132 +342,40 @@ func (tc *repChunk) fill(chunk []Interval, instrBase uint64, indexBase int) {
 	}
 }
 
-// repWorker runs repetitions w, w+W, w+2W, ... on its own machine and
-// analysis state, shipping rep-local chunks through its ring. The
-// machine, CPU, and detector are built once and Reset/Restart-reused
-// between repetitions — each repetition is an independent cold run,
-// exactly as the serial Scale loop makes them.
-func repWorker(cfg Config, runs, w, W int, out chan<- *repChunk, free <-chan *repChunk, stop <-chan struct{}) {
+// repWorker runs repetitions w, w+W, w+2W, ... through the serial
+// repetition loop on its own analysis stack, shipping rep-local chunks
+// and each repetition's closing totals through its ring.
+func repWorker(cfg Config, w, W int, out chan<- *repChunk, free <-chan *repChunk, stop <-chan struct{}) {
 	defer close(out)
-
-	acquire := func() (*repChunk, bool) {
+	var s *analysisStack
+	ship := func(chunk []Interval, last bool, t runTotals) error {
+		var tc *repChunk
 		select {
-		case tc := <-free:
-			return tc, true
+		case tc = <-free:
 		case <-stop:
-			return nil, false
+			return errEngineStopped
 		}
-	}
-	send := func(tc *repChunk) bool {
+		tc.fill(chunk, s.repInstr, s.repIndex)
+		tc.last, tc.tot = last, t
 		select {
 		case out <- tc:
-			return true
+			return nil
 		case <-stop:
-			return false
-		}
-	}
-	// fail delivers a terminal error on a dedicated chunk (never part of
-	// the ring, so no acquire can deadlock the report).
-	fail := func(err error) {
-		send(&repChunk{err: err})
-	}
-
-	cpu := uarch.NewCPU(cfg.CPU, cfg.Prog)
-	col := &collector{
-		cpu:      cpu,
-		acc:      bbv.NewAccumulator(cfg.Prog.NumBlocks),
-		skipBBV:  cfg.SkipBBV,
-		curPhase: ProloguePhase,
-	}
-	chunkCap := cfg.ChunkSize
-	if chunkCap <= 0 {
-		chunkCap = intervalChunk
-	}
-	col.arena = make([]Interval, 0, chunkCap)
-
-	var repInstrBase uint64 // worker-cumulative position at rep start
-	var repIndexBase int
-	col.sink = func(chunk []Interval) error {
-		tc, ok := acquire()
-		if !ok {
 			return errEngineStopped
 		}
-		tc.last, tc.err = false, nil
-		tc.fill(chunk, repInstrBase, repIndexBase)
-		if !send(tc) {
-			return errEngineStopped
-		}
-		return nil
 	}
-
-	var observers minivm.MultiObserver
-	var det *core.Detector
-	var fixed *FixedCutter
-	if cfg.FixedLen > 0 {
-		fixed = NewFixedCutter(cfg.FixedLen, func(at uint64) {
-			col.cut(ProloguePhase, at)
-		})
-		observers = append(observers, fixed)
-	} else {
-		det = core.NewDetector(cfg.Prog, nil, cfg.Markers, func(marker int, at uint64) {
-			col.cut(marker, at)
-		})
-		observers = append(observers, det)
-	}
-	if cfg.SkipBBV {
-		observers = append(observers, cpu)
-	} else {
-		observers = append(observers,
-			&perfBlockObs{cpu: cpu, acc: col.acc},
-			minivm.Masked(cpu, minivm.EvBranch|minivm.EvMem))
-	}
-	m := minivm.NewMachine(cfg.Prog, observers)
-
-	var workerTotal uint64
-	var firedBase uint64
-	for rep := w; rep < runs; rep += W {
-		if rep != w {
-			cpu.Reset()
-			col.lastPerf = uarch.Counters{}
-			m.Reset()
-			if det != nil {
-				if err := det.Restart(); err != nil {
-					fail(fmt.Errorf("trace: scale restart: %w", err))
-					return
-				}
-			} else {
-				fixed.Rebase()
-			}
-		}
-		repInstrBase = workerTotal
-		repIndexBase = col.count
-		if _, err := m.Run(cfg.Args...); err != nil {
-			fail(fmt.Errorf("trace: run failed: %w", err))
-			return
-		}
-		workerTotal += m.Instructions()
-		col.cut(ProloguePhase, workerTotal)
-		col.flush()
-		if col.err != nil {
-			if col.err != errEngineStopped {
-				fail(col.err)
-			}
-			return
-		}
-		tc, ok := acquire()
-		if !ok {
-			return
-		}
-		tc.ivs = tc.ivs[:0]
-		tc.last, tc.err = true, nil
-		tc.instrs = m.Instructions()
-		tc.perf = cpu.Counters()
-		if det != nil {
-			tc.fires = det.TotalFired() - firedBase
-			firedBase = det.TotalFired()
-		}
-		if !send(tc) {
-			return
+	s = newAnalysisStack(cfg, func(chunk []Interval) error {
+		return ship(chunk, false, runTotals{})
+	})
+	_, err := s.repeat(cfg, w, W, func(t runTotals) error {
+		return ship(nil, true, t)
+	})
+	if err != nil && !errors.Is(err, errEngineStopped) {
+		// A dedicated chunk, never part of the ring, so no acquire can
+		// deadlock the report.
+		select {
+		case out <- &repChunk{err: err}:
+		case <-stop:
 		}
 	}
 }
@@ -518,16 +383,17 @@ func repWorker(cfg Config, runs, w, W int, out chan<- *repChunk, free <-chan *re
 // runReps is the amplified-execution regime: repetitions fan out over
 // min(Workers, Scale) workers; the reducer stitches their rep-local
 // streams back into the one global stream the serial path produces.
+// Workers are stopped and joined on every return path, a sink panic
+// included; a worker cannot abandon a repetition mid-interpretation, so
+// an early return waits for at most each worker's current repetition.
 func runReps(cfg Config, runs int) (*Result, error) {
 	W := min(cfg.Workers, runs)
-	chunkCap := cfg.ChunkSize
-	if chunkCap <= 0 {
-		chunkCap = intervalChunk
-	}
-
 	stop := make(chan struct{})
-	var stopOnce sync.Once
-	defer stopOnce.Do(func() { close(stop) })
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
 
 	outs := make([]chan *repChunk, W)
 	frees := make([]chan *repChunk, W)
@@ -535,81 +401,52 @@ func runReps(cfg Config, runs int) (*Result, error) {
 		outs[w] = make(chan *repChunk, engineRingBufs)
 		frees[w] = make(chan *repChunk, engineRingBufs)
 		for i := 0; i < engineRingBufs; i++ {
-			frees[w] <- &repChunk{ivs: make([]Interval, 0, chunkCap)}
+			frees[w] <- &repChunk{}
 		}
-		go repWorker(cfg, runs, w, W, outs[w], frees[w], stop)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			repWorker(cfg, w, W, outs[w], frees[w], stop)
+		}()
 	}
 
-	var firstErr error
-	abort := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-		stopOnce.Do(func() { close(stop) })
-	}
-
-	var baseInstr uint64
-	var baseIndex int
-	var total uarch.Counters
-	var fires uint64
-reduce:
+	var sum runTotals
+	var index int
 	for rep := 0; rep < runs; rep++ {
 		w := rep % W
 		repCount := 0
 		for {
 			tc, ok := <-outs[w]
 			if !ok {
-				abort(fmt.Errorf("trace: rep worker %d exited before repetition %d", w, rep))
-				break reduce
+				return nil, fmt.Errorf("trace: rep worker %d exited before repetition %d", w, rep)
 			}
 			if tc.err != nil {
-				abort(tc.err)
-				break reduce
+				return nil, tc.err
 			}
 			if len(tc.ivs) > 0 {
 				// Rebase rep-local coordinates onto the global axis: the
 				// index and instruction bases advance by whole repetitions,
 				// at the rep's closing chunk below.
 				for i := range tc.ivs {
-					tc.ivs[i].Index += baseIndex
-					tc.ivs[i].Start += baseInstr
-					tc.ivs[i].End += baseInstr
+					tc.ivs[i].Index += index
+					tc.ivs[i].Start += sum.instrs
+					tc.ivs[i].End += sum.instrs
 				}
 				repCount += len(tc.ivs)
 				if err := cfg.Sink(tc.ivs); err != nil {
-					abort(fmt.Errorf("trace: sink: %w", err))
-					break reduce
+					return nil, fmt.Errorf("trace: sink: %w", err)
 				}
 			}
 			last := tc.last
 			if last {
-				baseInstr += tc.instrs
-				baseIndex += repCount
-				total = total.Add(tc.perf)
-				fires += tc.fires
+				sum = sum.add(tc.tot)
+				index += repCount
 			}
-			select { // ring slot back to the worker (never full; errors are off-ring)
-			case frees[w] <- tc:
-			default:
-			}
+			frees[w] <- tc // ring slot back to the worker (never full; errors are off-ring)
 			if last {
 				break
 			}
 		}
 	}
-	stopOnce.Do(func() { close(stop) })
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	res := &Result{
-		Total:        total,
-		Instructions: baseInstr,
-		NumBlocks:    cfg.Prog.NumBlocks,
-		MarkerFires:  fires,
-	}
-	obsTraceRuns.Inc()
-	obsIntervals.Add(uint64(baseIndex))
-	obsMarkerFires.Add(fires)
-	return res, nil
+	return finish(cfg, nil, index, sum), nil
 }

@@ -78,7 +78,9 @@ type Config struct {
 	// every Interval in it — including BBV storage — are owned by the
 	// tracer and recycled after Sink returns; a sink must finish with (or
 	// deep-copy) anything it keeps. Working memory is then bounded by the
-	// chunk instead of the trace. A Sink error aborts the run.
+	// chunk instead of the trace. A Sink error aborts the run. A Sink
+	// panic is not recovered: it propagates to Run's caller, after any
+	// goroutine Run started has been stopped and joined.
 	Sink func(chunk []Interval) error
 
 	// ChunkSize is the streaming chunk capacity in intervals (default 256).
@@ -218,6 +220,153 @@ func (c *collector) flush() {
 	}
 }
 
+// runTotals are the totals of a run, or of one repetition of it.
+type runTotals struct {
+	instrs uint64
+	perf   uarch.Counters
+	fires  uint64
+}
+
+func (t runTotals) add(o runTotals) runTotals {
+	return runTotals{instrs: t.instrs + o.instrs, perf: t.perf.Add(o.perf), fires: t.fires + o.fires}
+}
+
+// analysisStack is the one place an analysis run is wired: the timing
+// model, the interval collector, and the boundary source — marker
+// detector or fixed-length cutter — whose firings drive the collector's
+// cuts. The serial path and every rep-parallel worker run it through
+// repeat; the record/replay split replays events into its components.
+type analysisStack struct {
+	cpu   *uarch.CPU
+	col   *collector
+	det   *core.Detector // marker cutting, or
+	fixed *FixedCutter   // fixed-length cutting
+
+	// repInstr and repIndex locate the running repetition's start on the
+	// stack's own instruction and interval-index axes.
+	repInstr uint64
+	repIndex int
+}
+
+// newAnalysisStack builds the stack for cfg; the collector streams
+// chunks to sink, or materializes intervals when sink is nil.
+func newAnalysisStack(cfg Config, sink func(chunk []Interval) error) *analysisStack {
+	cpu := uarch.NewCPU(cfg.CPU, cfg.Prog)
+	col := &collector{
+		cpu:      cpu,
+		acc:      bbv.NewAccumulator(cfg.Prog.NumBlocks),
+		skipBBV:  cfg.SkipBBV,
+		sink:     sink,
+		curPhase: ProloguePhase,
+	}
+	if sink != nil {
+		chunk := cfg.ChunkSize
+		if chunk <= 0 {
+			chunk = intervalChunk
+		}
+		col.arena = make([]Interval, 0, chunk)
+	}
+	s := &analysisStack{cpu: cpu, col: col}
+	if cfg.FixedLen > 0 {
+		s.fixed = NewFixedCutter(cfg.FixedLen, func(at uint64) {
+			col.cut(ProloguePhase, at)
+		})
+	} else {
+		s.det = core.NewDetector(cfg.Prog, nil, cfg.Markers, col.cut)
+	}
+	return s
+}
+
+// fired reports the marker firings so far (none when cutting at fixed
+// lengths).
+func (s *analysisStack) fired() uint64 {
+	if s.det == nil {
+		return 0
+	}
+	return s.det.TotalFired()
+}
+
+// repeat executes repetitions first, first+stride, ... of cfg's Scale on
+// one machine wired to the stack: the serial Scale loop is repeat(cfg, 0,
+// 1, nil), a rep-parallel worker's share is repeat(cfg, w, W, done).
+// Each repetition is an independent cold run — at the boundary the
+// machine and every observer reset (timing model cold, cutter grid
+// rebased, detector occurrence counts cleared) — tiled end to end on the
+// stack's instruction axis, so identical repetitions reproduce the same
+// interval sequence. A repetition's final interval is closed and its
+// chunk flushed when it ends; done, if set, then receives that
+// repetition's totals. repeat returns the sum over its repetitions and
+// stops at the first run, sink, or done error.
+func (s *analysisStack) repeat(cfg Config, first, stride int, done func(runTotals) error) (runTotals, error) {
+	// Named to avoid shadowing the imported obs metrics package (a past
+	// bug; shadow_test.go keeps it from returning).
+	var observers minivm.MultiObserver
+	if s.det != nil {
+		observers = append(observers, s.det)
+	} else {
+		observers = append(observers, s.fixed)
+	}
+	if cfg.SkipBBV {
+		observers = append(observers, s.cpu)
+	} else {
+		// Fuse the timing model's block accounting with BBV collection into
+		// one dispatch, and strip EvBlock from the CPU's own registration so
+		// the machine makes two observer calls per block instead of three.
+		observers = append(observers,
+			&perfBlockObs{cpu: s.cpu, acc: s.col.acc},
+			minivm.Masked(s.cpu, minivm.EvBranch|minivm.EvMem))
+	}
+	m := minivm.NewMachine(cfg.Prog, observers)
+
+	var sum runTotals
+	for rep := first; rep < max(cfg.Scale, 1); rep += stride {
+		if rep != first {
+			s.cpu.Reset()
+			s.col.lastPerf = uarch.Counters{}
+			m.Reset()
+			if s.det != nil {
+				if err := s.det.Restart(); err != nil {
+					return sum, fmt.Errorf("trace: scale restart: %w", err)
+				}
+			} else {
+				s.fixed.Rebase()
+			}
+		}
+		s.repInstr, s.repIndex = sum.instrs, s.col.count
+		if _, err := m.Run(cfg.Args...); err != nil {
+			return sum, fmt.Errorf("trace: run failed: %w", err)
+		}
+		t := runTotals{instrs: m.Instructions(), perf: s.cpu.Counters(), fires: s.fired() - sum.fires}
+		sum = sum.add(t)
+		s.col.cut(ProloguePhase, sum.instrs)
+		s.col.flush()
+		if s.col.err != nil {
+			return sum, fmt.Errorf("trace: sink: %w", s.col.err)
+		}
+		if done != nil {
+			if err := done(t); err != nil {
+				return sum, err
+			}
+		}
+	}
+	return sum, nil
+}
+
+// finish builds a completed run's Result (intervals is nil when
+// streaming) and records the run in the segmentation metrics.
+func finish(cfg Config, intervals []*Interval, count int, t runTotals) *Result {
+	obsTraceRuns.Inc()
+	obsIntervals.Add(uint64(count))
+	obsMarkerFires.Add(t.fires)
+	return &Result{
+		Intervals:    intervals,
+		Total:        t.perf,
+		Instructions: t.instrs,
+		NumBlocks:    cfg.Prog.NumBlocks,
+		MarkerFires:  t.fires,
+	}
+}
+
 // Run executes the program under the timing model, cutting intervals per
 // cfg, and returns the segmented result.
 func Run(cfg Config) (*Result, error) {
@@ -241,97 +390,10 @@ func Run(cfg Config) (*Result, error) {
 		// workers. Bit-identical to the serial path below.
 		return runEngine(cfg)
 	}
-	cpu := uarch.NewCPU(cfg.CPU, cfg.Prog)
-	col := &collector{
-		cpu:      cpu,
-		acc:      bbv.NewAccumulator(cfg.Prog.NumBlocks),
-		skipBBV:  cfg.SkipBBV,
-		sink:     cfg.Sink,
-		curPhase: ProloguePhase,
+	s := newAnalysisStack(cfg, cfg.Sink)
+	t, err := s.repeat(cfg, 0, 1, nil)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Sink != nil {
-		chunk := cfg.ChunkSize
-		if chunk <= 0 {
-			chunk = intervalChunk
-		}
-		col.arena = make([]Interval, 0, chunk)
-	}
-
-	// Named to avoid shadowing the imported obs metrics package (a past
-	// bug; shadow_test.go keeps it from returning).
-	var observers minivm.MultiObserver
-	var det *core.Detector
-	var fixed *FixedCutter
-	if cfg.FixedLen > 0 {
-		fixed = NewFixedCutter(cfg.FixedLen, func(at uint64) {
-			col.cut(ProloguePhase, at)
-		})
-		observers = append(observers, fixed)
-	} else {
-		det = core.NewDetector(cfg.Prog, nil, cfg.Markers, func(marker int, at uint64) {
-			col.cut(marker, at)
-		})
-		observers = append(observers, det)
-	}
-	if cfg.SkipBBV {
-		observers = append(observers, cpu)
-	} else {
-		// Fuse the timing model's block accounting with BBV collection into
-		// one dispatch, and strip EvBlock from the CPU's own registration so
-		// the machine makes two observer calls per block instead of three.
-		observers = append(observers,
-			&perfBlockObs{cpu: cpu, acc: col.acc},
-			minivm.Masked(cpu, minivm.EvBranch|minivm.EvMem))
-	}
-
-	m := minivm.NewMachine(cfg.Prog, observers)
-	// The Scale amplifier executes the program Scale times as one long
-	// trace of independent cold repetitions: at each boundary the
-	// repetition's final interval is closed, then the machine AND every
-	// observer reset — timing model cold, cutter grid rebased, detector
-	// occurrence counts cleared — so each repetition reproduces the same
-	// interval sequence, tiled end to end on the instruction axis.
-	runs := max(cfg.Scale, 1)
-	var total uint64
-	var done uarch.Counters // totals of completed (reset) repetitions
-	for rep := 0; rep < runs; rep++ {
-		if rep > 0 {
-			col.cut(ProloguePhase, total)
-			done = done.Add(cpu.Counters())
-			cpu.Reset()
-			col.lastPerf = uarch.Counters{}
-			m.Reset()
-			if det != nil {
-				if err := det.Restart(); err != nil {
-					return nil, fmt.Errorf("trace: scale restart: %w", err)
-				}
-			} else {
-				fixed.Rebase()
-			}
-		}
-		if _, err := m.Run(cfg.Args...); err != nil {
-			return nil, fmt.Errorf("trace: run failed: %w", err)
-		}
-		total += m.Instructions()
-	}
-	// Close the final interval and deliver any buffered streaming chunk.
-	col.cut(ProloguePhase, total)
-	col.flush()
-	if col.err != nil {
-		return nil, fmt.Errorf("trace: sink: %w", col.err)
-	}
-
-	res := &Result{
-		Intervals:    col.intervals,
-		Total:        done.Add(cpu.Counters()),
-		Instructions: total,
-		NumBlocks:    cfg.Prog.NumBlocks,
-	}
-	if det != nil {
-		res.MarkerFires = det.TotalFired()
-	}
-	obsTraceRuns.Inc()
-	obsIntervals.Add(uint64(col.count))
-	obsMarkerFires.Add(res.MarkerFires)
-	return res, nil
+	return finish(cfg, s.col.intervals, s.col.count, t), nil
 }
