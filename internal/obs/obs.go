@@ -1,7 +1,8 @@
 // Package obs is the repository's observability layer: a dependency-light
 // metrics registry (named counters, gauges, and log-scale histograms) plus
-// span-style stage tracing, shared by every stage of the
-// profile → graph → marker-selection → segmentation → SimPoint pipeline.
+// stage tracing with one span type, Span, shared by every stage of the
+// profile → graph → marker-selection → segmentation → SimPoint pipeline
+// and by the phased request path.
 //
 // Design constraints, in order:
 //
@@ -49,9 +50,9 @@ func NewGauge(name string) *Gauge { return defaultRegistry.Gauge(name) }
 // registry.
 func NewHist(name string) *Histogram { return defaultRegistry.Hist(name) }
 
-// StartSpan starts a root stage span on the default tracer. arg labels the
-// unit of work (typically the workload name); it may be empty.
-func StartSpan(name, arg string) *Span { return defaultTracer.Span(name, arg) }
+// StartSpan starts a root span on the default tracer. arg labels the unit
+// of work (typically the workload name); it may be empty.
+func StartSpan(name, arg string) *Span { return defaultTracer.StartSpan(name, arg) }
 
 // SetTraceCapture enables or disables Chrome trace_event capture on the
 // default tracer. Stage-duration aggregation is unaffected (always on).

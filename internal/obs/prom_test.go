@@ -31,7 +31,7 @@ func TestPrometheusExposition(t *testing.T) {
 
 	tr := NewTracer()
 	fakeClock(tr, time.Millisecond)
-	tr.StartRequest("store.get", `needs "escaping"? no: sanitized upstream`).End()
+	tr.StartSpan("store.get", `needs "escaping"? no: sanitized upstream`).End()
 
 	snap := reg.Snapshot()
 	snap.Stages = tr.Stages()

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -160,7 +161,7 @@ func dispatch[T any](s *Server, ctx context.Context, body io.Reader,
 	var outcome store.Outcome
 	err = s.gate.Do(ctx, func() error {
 		var cerr error
-		data, outcome, cerr = s.cfg.Store.GetOrComputeCtx(ctx, k, func(cctx context.Context) ([]byte, error) {
+		data, outcome, cerr = s.cfg.Store.GetOrCompute(ctx, k, func(cctx context.Context) ([]byte, error) {
 			return compute(cctx, req)
 		})
 		return cerr
@@ -380,13 +381,13 @@ func (s *Server) batchItem(ctx context.Context, item BatchItem) BatchResult {
 	var res result
 	switch item.Endpoint {
 	case EndpointProfile:
-		res = dispatch(s, ictx, bytesReader(item.Body), DecodeProfileRequest, ProfileRequest.Key, s.pl.Profile)
+		res = dispatch(s, ictx, bytes.NewReader(item.Body), DecodeProfileRequest, ProfileRequest.Key, s.pl.Profile)
 	case EndpointSelect:
-		res = dispatch(s, ictx, bytesReader(item.Body), DecodeSelectRequest, SelectRequest.Key, s.pl.Select)
+		res = dispatch(s, ictx, bytes.NewReader(item.Body), DecodeSelectRequest, SelectRequest.Key, s.pl.Select)
 	case EndpointSegment:
-		res = dispatch(s, ictx, bytesReader(item.Body), DecodeSegmentRequest, SegmentRequest.Key, s.pl.Segment)
+		res = dispatch(s, ictx, bytes.NewReader(item.Body), DecodeSegmentRequest, SegmentRequest.Key, s.pl.Segment)
 	case EndpointCluster:
-		res = dispatch(s, ictx, bytesReader(item.Body), DecodeClusterRequest, ClusterRequest.Key, s.pl.Cluster)
+		res = dispatch(s, ictx, bytes.NewReader(item.Body), DecodeClusterRequest, ClusterRequest.Key, s.pl.Cluster)
 	default:
 		res = result{err: reqErrf("unknown batch endpoint %q", item.Endpoint)}
 	}
@@ -402,22 +403,6 @@ func (s *Server) batchItem(ctx context.Context, item BatchItem) BatchResult {
 	}
 	countStatus(out.Status)
 	return out
-}
-
-func bytesReader(b []byte) io.Reader {
-	return &byteReader{b: b}
-}
-
-// byteReader avoids importing bytes for one Reader.
-type byteReader struct{ b []byte }
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }
 
 // healthResponse is the /healthz payload: liveness plus the build stamp,

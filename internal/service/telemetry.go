@@ -107,7 +107,7 @@ func parseTraceparent(h string) (string, bool) {
 	if parts[0] == "ff" { // forbidden version
 		return "", false
 	}
-	for _, s := range parts[:3] {
+	for _, s := range parts {
 		if !isLowerHex(s) {
 			return "", false
 		}
@@ -140,14 +140,13 @@ func (s *Server) instrument(path string, track bool, h http.HandlerFunc) http.Ha
 		if !ok {
 			traceID = obs.NewID(16)
 		}
-		sp := obs.StartRequest("http."+rt.route, r.URL.Path)
-		sp.TraceID = traceID
-		sp.SpanID = obs.NewID(8)
+		sp := obs.StartSpan("http."+rt.route, r.URL.Path)
+		spanID := obs.NewID(8)
 		reqID := obs.NewID(8)
 
 		hdr := w.Header()
 		hdr.Set("X-Request-Id", reqID)
-		hdr.Set("Traceparent", "00-"+traceID+"-"+sp.SpanID+"-01")
+		hdr.Set("Traceparent", "00-"+traceID+"-"+spanID+"-01")
 
 		rw := &respWriter{ResponseWriter: w}
 		rt.inflight.Add(1)
@@ -202,7 +201,7 @@ func (s *Server) instrument(path string, track bool, h http.HandlerFunc) http.Ha
 // stageDurations sums span durations per stage name across a snapshot
 // subtree — the flattened per-request breakdown behind Server-Timing and
 // the access log.
-func stageDurations(nodes []obs.ReqSpanSnap, into map[string]int64) {
+func stageDurations(nodes []obs.SpanSnap, into map[string]int64) {
 	for _, n := range nodes {
 		into[n.Name] += n.DurNS
 		stageDurations(n.Children, into)
@@ -231,13 +230,13 @@ func serverTiming(durs map[string]int64) string {
 // SlowRequest is one captured request in the /debug/slowest window: the
 // identifying headers, the outcome, and the full span tree.
 type SlowRequest struct {
-	ID      string          `json:"id"`
-	TraceID string          `json:"trace_id"`
-	Route   string          `json:"route"`
-	Status  int             `json:"status"`
-	Cache   string          `json:"cache,omitempty"`
-	DurNS   int64           `json:"dur_ns"`
-	Span    obs.ReqSpanSnap `json:"span"`
+	ID      string       `json:"id"`
+	TraceID string       `json:"trace_id"`
+	Route   string       `json:"route"`
+	Status  int          `json:"status"`
+	Cache   string       `json:"cache,omitempty"`
+	DurNS   int64        `json:"dur_ns"`
+	Span    obs.SpanSnap `json:"span"`
 }
 
 // SchemaDebugSlowest versions the /debug/slowest payload.

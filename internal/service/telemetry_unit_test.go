@@ -36,6 +36,8 @@ func TestParseTraceparent(t *testing.T) {
 		"00-0AF7651916CD43DD8448EB211C80319C-b7ad6b7169203331-01",   // uppercase hex
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b716920333g-01",   // non-hex
 		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01-x", // trailing segment
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-zz",   // non-hex flags
+		"00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-0G",   // uppercase non-hex flags
 	}
 	for _, h := range invalid {
 		if _, ok := parseTraceparent(h); ok {
@@ -57,10 +59,10 @@ func TestServerTimingRendering(t *testing.T) {
 }
 
 func TestStageDurationsFlattening(t *testing.T) {
-	snap := obs.ReqSpanSnap{
+	snap := obs.SpanSnap{
 		Name: "http.x",
-		Children: []obs.ReqSpanSnap{
-			{Name: "store.get", DurNS: 10, Children: []obs.ReqSpanSnap{
+		Children: []obs.SpanSnap{
+			{Name: "store.get", DurNS: 10, Children: []obs.SpanSnap{
 				{Name: "pipeline.prog", DurNS: 4},
 			}},
 			{Name: "store.get", DurNS: 7},

@@ -37,8 +37,8 @@ import (
 	"phasemark/internal/obs"
 )
 
-// Request-scoped span names GetOrComputeCtx attaches to the caller's
-// obs.RequestSpan (when the context carries one). Get/Compute/Write are
+// Request-scoped span names GetOrCompute attaches to the caller's
+// obs.Span (when the context carries one). Get/Compute/Write are
 // the flight leader's sequential phases; Join is a non-leader's wait on
 // an in-flight computation. Exported so telemetry consumers (the stress
 // suite's consistency checks) reference the same strings the store emits.
@@ -215,22 +215,16 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 // every joiner but is not cached — the flight is forgotten and the next
 // caller starts fresh, so a transient failure cannot poison the key.
 //
+// When ctx carries an obs.Span, the flight's phases attach to it as child
+// spans (SpanGet / SpanCompute / SpanWrite for the leader, SpanJoin for a
+// joiner), and compute receives a context whose span is the compute span,
+// so pipeline stages chain their own sub-spans under it.
+//
 // compute runs with no store lock held, so a producer may freely issue
 // GetOrCompute for *other* keys (pipeline stages chain artifacts);
 // re-entering the same key from its own producer deadlocks, exactly like
 // the experiments cell it generalizes.
-func (s *Store) GetOrCompute(k Key, compute func() ([]byte, error)) ([]byte, Outcome, error) {
-	return s.GetOrComputeCtx(context.Background(), k,
-		func(context.Context) ([]byte, error) { return compute() })
-}
-
-// GetOrComputeCtx is GetOrCompute with request-scoped telemetry: when ctx
-// carries an obs.RequestSpan, the flight's phases attach to it as child
-// spans (SpanGet / SpanCompute / SpanWrite for the leader, SpanJoin for a
-// joiner), and compute receives a context whose span is the compute span,
-// so pipeline stages chain their own sub-spans under it. The caching and
-// error semantics are exactly GetOrCompute's.
-func (s *Store) GetOrComputeCtx(ctx context.Context, k Key, compute func(context.Context) ([]byte, error)) ([]byte, Outcome, error) {
+func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func(context.Context) ([]byte, error)) ([]byte, Outcome, error) {
 	s.mu.Lock()
 	if f := s.inflight[k]; f != nil {
 		s.mu.Unlock()

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -40,11 +41,11 @@ func TestStoreComputePersistsAcrossOpens(t *testing.T) {
 	k := testKey("artifact")
 	want := []byte(`{"v":1}`)
 	computes := 0
-	got, out, err := s.GetOrCompute(k, func() ([]byte, error) { computes++; return want, nil })
+	got, out, err := s.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { computes++; return want, nil })
 	if err != nil || out != Computed || !bytes.Equal(got, want) {
 		t.Fatalf("first get: %q, %v, %v", got, out, err)
 	}
-	got, out, err = s.GetOrCompute(k, func() ([]byte, error) { computes++; return nil, errors.New("must not run") })
+	got, out, err = s.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { computes++; return nil, errors.New("must not run") })
 	if err != nil || out != Hit || !bytes.Equal(got, want) {
 		t.Fatalf("second get: %q, %v, %v", got, out, err)
 	}
@@ -58,7 +59,7 @@ func TestStoreComputePersistsAcrossOpens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, out, err = s2.GetOrCompute(k, func() ([]byte, error) { return nil, errors.New("must not run") })
+	got, out, err = s2.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { return nil, errors.New("must not run") })
 	if err != nil || out != Hit || !bytes.Equal(got, want) {
 		t.Fatalf("reopened get: %q, %v, %v", got, out, err)
 	}
@@ -82,7 +83,7 @@ func TestStoreSingleflightDedupe(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			data, out, err := s.GetOrCompute(k, func() ([]byte, error) {
+			data, out, err := s.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) {
 				computes.Add(1)
 				<-release
 				return []byte("x"), nil
@@ -125,10 +126,10 @@ func TestStoreErrorsAreNotCached(t *testing.T) {
 	}
 	k := testKey("flaky")
 	boom := errors.New("boom")
-	if _, _, err := s.GetOrCompute(k, func() ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, _, err := s.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("failing compute: err = %v, want boom", err)
 	}
-	got, out, err := s.GetOrCompute(k, func() ([]byte, error) { return []byte("ok"), nil })
+	got, out, err := s.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { return []byte("ok"), nil })
 	if err != nil || out != Computed || string(got) != "ok" {
 		t.Fatalf("retry: %q, %v, %v", got, out, err)
 	}
@@ -151,7 +152,7 @@ func TestStoreCrashMidWrite(t *testing.T) {
 	k := testKey("crash")
 	crash := errors.New("simulated crash before rename")
 	s.WriteFault = func(string) error { return crash }
-	if _, _, err := s.GetOrCompute(k, func() ([]byte, error) { return []byte("partial"), nil }); !errors.Is(err, crash) {
+	if _, _, err := s.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { return []byte("partial"), nil }); !errors.Is(err, crash) {
 		t.Fatalf("faulted write: err = %v, want crash", err)
 	}
 	if st := s.Stats(); st.WriteErrs != 1 {
@@ -183,7 +184,7 @@ func TestStoreCrashMidWrite(t *testing.T) {
 		t.Fatal("sweep left temp files behind")
 	}
 	// ...and recompute repairs the entry.
-	got, out, err := s2.GetOrCompute(k, func() ([]byte, error) { return []byte("repaired"), nil })
+	got, out, err := s2.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { return []byte("repaired"), nil })
 	if err != nil || out != Computed || string(got) != "repaired" {
 		t.Fatalf("repair: %q, %v, %v", got, out, err)
 	}
@@ -222,14 +223,14 @@ func TestStoreDistinctKeysComputeConcurrently(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		s.GetOrCompute(testKey("a"), func() ([]byte, error) {
+		s.GetOrCompute(context.Background(), testKey("a"), func(context.Context) ([]byte, error) {
 			<-bStarted
 			return []byte("a"), nil
 		})
 	}()
 	go func() {
 		defer wg.Done()
-		s.GetOrCompute(testKey("b"), func() ([]byte, error) {
+		s.GetOrCompute(context.Background(), testKey("b"), func(context.Context) ([]byte, error) {
 			close(bStarted)
 			return []byte("b"), nil
 		})
@@ -321,12 +322,12 @@ func BenchmarkStoreHit(b *testing.B) {
 	}
 	k := testKey("bench")
 	payload := bytes.Repeat([]byte("x"), 4096)
-	if _, _, err := s.GetOrCompute(k, func() ([]byte, error) { return payload, nil }); err != nil {
+	if _, _, err := s.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { return payload, nil }); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, out, err := s.GetOrCompute(k, func() ([]byte, error) { return nil, fmt.Errorf("miss") }); err != nil || out != Hit {
+		if _, out, err := s.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { return nil, fmt.Errorf("miss") }); err != nil || out != Hit {
 			b.Fatal(out, err)
 		}
 	}
