@@ -189,10 +189,10 @@ func compareStreamed(chunk []trace.Interval, want []*trace.Interval, next int) (
 }
 
 // StreamingParallel verifies the pipeline-parallel engine's bit-identity
-// claim: a trace.Run with Workers set — the record/replay split at scale
-// 1, plus parallel chunk consumers (StreamProjector, StreamKMeans,
-// CoVAccumulator via their ObserveChunkPar paths) — must reproduce the
-// materialized reference interval-for-interval AND leave every analysis
+// claim: a trace.Run with Workers set (the record/replay split at scale 1)
+// must reproduce the materialized reference interval-for-interval AND,
+// with the streamed chunks folded into the analysis consumers
+// (StreamProjector, StreamKMeans, CoVAccumulator), leave every
 // accumulator in a bit-identical state to the serial fold of the same
 // reference, at workers 1, 4, and 16. cfg must be the configuration want
 // was produced with (any Sink/ChunkSize/Workers in it is replaced).
@@ -232,9 +232,9 @@ func StreamingParallel(cfg trace.Config, want *trace.Result) error {
 				return err
 			}
 			next = n
-			proj.ObserveChunkPar(chunk, workers)
-			km.ObserveChunkPar(chunk, workers)
-			cov.ObserveChunkPar(chunk, workers)
+			proj.ObserveChunk(chunk)
+			km.ObserveChunk(chunk)
+			cov.ObserveChunk(chunk)
 			return nil
 		}
 		sres, err := trace.Run(c)

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -76,13 +77,27 @@ func mustTrace(t *testing.T, cfg trace.Config) *trace.Result {
 func TestInvariantsHoldOnPhasedProgram(t *testing.T) {
 	prog, set := phasedSetup(t)
 
-	fixed := mustTrace(t, trace.Config{Prog: prog, Args: phasedArgs, FixedLen: 1000})
+	fixedCfg := trace.Config{Prog: prog, Args: phasedArgs, FixedLen: 1000}
+	fixed := mustTrace(t, fixedCfg)
 	if err := Segmentation(fixed, -1); err != nil {
 		t.Errorf("fixed-length segmentation: %v", err)
 	}
-	vli := mustTrace(t, trace.Config{Prog: prog, Args: phasedArgs, Markers: set})
+	vliCfg := trace.Config{Prog: prog, Args: phasedArgs, Markers: set}
+	vli := mustTrace(t, vliCfg)
 	if err := Segmentation(vli, len(set.Markers)); err != nil {
 		t.Errorf("marker segmentation: %v", err)
+	}
+	for _, mode := range []struct {
+		name string
+		cfg  trace.Config
+		res  *trace.Result
+	}{{"fixed", fixedCfg, fixed}, {"marker", vliCfg, vli}} {
+		if err := Streaming(mode.cfg, mode.res); err != nil {
+			t.Errorf("%s streaming: %v", mode.name, err)
+		}
+		if err := StreamingParallel(mode.cfg, mode.res); err != nil {
+			t.Errorf("%s streaming-parallel: %v", mode.name, err)
+		}
 	}
 
 	cl := simpoint.Classify(fixed, simpoint.Options{KMax: 5, Seed: 1})
@@ -161,6 +176,53 @@ func TestSegmentationRejectsCorruption(t *testing.T) {
 	bad.MarkerFires = 3
 	if err := Segmentation(bad, -1); err == nil || !strings.Contains(err.Error(), "marker fires") {
 		t.Fatalf("fixed-mode marker fires not caught: %v", err)
+	}
+}
+
+// TestStreamingRejectsCorruption corrupts the materialized reference one
+// field at a time and asserts that both streaming checks report the
+// difference: the streamed run is healthy, so each check must notice
+// that it no longer matches the reference.
+func TestStreamingRejectsCorruption(t *testing.T) {
+	prog, set := phasedSetup(t)
+	cfg := trace.Config{Prog: prog, Args: phasedArgs, Markers: set}
+	res := mustTrace(t, cfg)
+	if len(res.Intervals) < 3 {
+		t.Fatalf("need >= 3 intervals, got %d", len(res.Intervals))
+	}
+	cases := []struct {
+		name    string
+		corrupt func(r *trace.Result)
+		want    string
+	}{
+		{"bbv-value", func(r *trace.Result) { r.Intervals[1].BBV.Val[0] += 3 }, "interval 1: BBV entry 0 differs"},
+		{"phase", func(r *trace.Result) { r.Intervals[2].PhaseID++ },
+			fmt.Sprintf("phase %d} vs materialized {idx 2 [%d,%d) phase %d}", res.Intervals[2].PhaseID,
+				res.Intervals[2].Start, res.Intervals[2].End, res.Intervals[2].PhaseID+1)},
+		{"perf", func(r *trace.Result) { r.Intervals[1].Perf.Cycles++ }, "interval 1: streamed"},
+		{"instructions", func(r *trace.Result) { r.Instructions++ },
+			fmt.Sprintf("totals differ: instrs %d/%d", res.Instructions, res.Instructions+1)},
+		{"truncated", func(r *trace.Result) { r.Intervals = r.Intervals[:len(r.Intervals)-1] },
+			fmt.Sprintf("interval %d beyond the %d materialized", len(res.Intervals)-1, len(res.Intervals)-1)},
+	}
+	checks := []struct {
+		name string
+		run  func(trace.Config, *trace.Result) error
+	}{{"streaming", Streaming}, {"streaming-parallel", StreamingParallel}}
+	for _, tc := range cases {
+		for _, c := range checks {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				bad := cloneResult(res)
+				tc.corrupt(bad)
+				err := c.run(cfg, bad)
+				if err == nil {
+					t.Fatal("corruption not caught")
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("got %v, want mention of %q", err, tc.want)
+				}
+			})
+		}
 	}
 }
 

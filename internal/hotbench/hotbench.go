@@ -129,13 +129,13 @@ func StagesScaled(scale, workers int) []Stage {
 			Name: "pipeline_e2e_stream",
 			Desc: fmt.Sprintf("streaming bounded-memory pipeline: profile -> select -> chunked marker-cut trace feeding online projection, mini-batch k-means, and single-pass CoV, gzip train ×%d", scale),
 			Unit: "Minstr/s",
-			New:  newPipelineE2EStream(scale),
+			New:  newPipelineE2EStream(scale, 0),
 		},
 		{
 			Name: "pipeline_e2e_stream_par",
-			Desc: fmt.Sprintf("pipeline_e2e_stream on the pipeline-parallel engine: trace production overlapped with parallel chunk consumers (projection, mini-batch k-means, CoV) and amplified repetitions fanned over workers, gzip train ×%d, %d workers — bit-identical to the serial stream", scale, workers),
+			Desc: fmt.Sprintf("pipeline_e2e_stream on the pipeline-parallel engine: trace production overlapped with chunk analysis (projection, mini-batch k-means, CoV) and amplified repetitions fanned over workers, gzip train ×%d, %d workers — bit-identical to the serial stream", scale, workers),
 			Unit: "Minstr/s",
-			New:  newPipelineE2EStreamPar(scale, workers),
+			New:  newPipelineE2EStream(scale, workers),
 		},
 		{
 			Name: "project",
@@ -435,53 +435,15 @@ func newPipelineE2E() (func() (uint64, error), error) {
 // flow through the online projector, the mini-batch clusterer, and the
 // single-pass CoV accumulator, and are recycled; nothing O(trace) is ever
 // resident. scale amplifies the traced execution (trace.Config.Scale).
-func newPipelineE2EStream(scale int) func() (func() (uint64, error), error) {
-	return func() (func() (uint64, error), error) {
-		prog, w, err := compiled("gzip", false)
-		if err != nil {
-			return nil, err
-		}
-		ucfg := uarch.DefaultConfig()
-		return func() (uint64, error) {
-			set, err := markerSet(prog, w.Train)
-			if err != nil {
-				return 0, err
-			}
-			km := simpoint.NewStreamKMeans(prog.NumBlocks, simpoint.Options{
-				ForceK: streamK, Dims: analysisDims, Seed: analysisSeed, Restarts: 2, MaxIters: 40,
-			})
-			cov := trace.NewCoVAccumulator(trace.IntervalPhase, trace.CPIMetric)
-			r, err := trace.Run(trace.Config{
-				Prog: prog, Args: w.Train, CPU: ucfg, Markers: set, Scale: scale,
-				Sink: func(chunk []trace.Interval) error {
-					km.ObserveChunk(chunk)
-					cov.ObserveChunk(chunk)
-					return nil
-				},
-			})
-			if err != nil {
-				return 0, err
-			}
-			cl := km.Finish()
-			if cl.K < 1 || cl.Points == 0 {
-				return 0, fmt.Errorf("pipeline_e2e_stream: degenerate streaming clustering (K=%d over %d points)", cl.K, cl.Points)
-			}
-			if res := cov.Result(); res.Intervals != cl.Points {
-				return 0, fmt.Errorf("pipeline_e2e_stream: CoV saw %d intervals, clusterer %d", res.Intervals, cl.Points)
-			}
-			return r.Instructions, nil
-		}, nil
+// workers > 0 runs the trace on the pipeline-parallel engine
+// (trace.Config.Workers) as pipeline_e2e_stream_par; the sink sees the
+// same intervals in the same order either way, so only the wall clock
+// moves.
+func newPipelineE2EStream(scale, workers int) func() (func() (uint64, error), error) {
+	name := "pipeline_e2e_stream"
+	if workers > 0 {
+		name += "_par"
 	}
-}
-
-// newPipelineE2EStreamPar is pipeline_e2e_stream on the pipeline-parallel
-// engine: trace.Config.Workers > 0 decouples trace production from
-// analysis (and fans amplified repetitions over workers), and the sink
-// feeds the ObserveChunkPar consumers, which parallelize per-chunk
-// projection and metric extraction while keeping every order-sensitive
-// update sequential — so the stage's outputs are bit-identical to
-// pipeline_e2e_stream's at any worker count; only the wall clock moves.
-func newPipelineE2EStreamPar(scale, workers int) func() (func() (uint64, error), error) {
 	return func() (func() (uint64, error), error) {
 		prog, w, err := compiled("gzip", false)
 		if err != nil {
@@ -500,8 +462,8 @@ func newPipelineE2EStreamPar(scale, workers int) func() (func() (uint64, error),
 			r, err := trace.Run(trace.Config{
 				Prog: prog, Args: w.Train, CPU: ucfg, Markers: set, Scale: scale, Workers: workers,
 				Sink: func(chunk []trace.Interval) error {
-					km.ObserveChunkPar(chunk, workers)
-					cov.ObserveChunkPar(chunk, workers)
+					km.ObserveChunk(chunk)
+					cov.ObserveChunk(chunk)
 					return nil
 				},
 			})
@@ -510,10 +472,10 @@ func newPipelineE2EStreamPar(scale, workers int) func() (func() (uint64, error),
 			}
 			cl := km.Finish()
 			if cl.K < 1 || cl.Points == 0 {
-				return 0, fmt.Errorf("pipeline_e2e_stream_par: degenerate streaming clustering (K=%d over %d points)", cl.K, cl.Points)
+				return 0, fmt.Errorf("%s: degenerate streaming clustering (K=%d over %d points)", name, cl.K, cl.Points)
 			}
 			if res := cov.Result(); res.Intervals != cl.Points {
-				return 0, fmt.Errorf("pipeline_e2e_stream_par: CoV saw %d intervals, clusterer %d", res.Intervals, cl.Points)
+				return 0, fmt.Errorf("%s: CoV saw %d intervals, clusterer %d", name, res.Intervals, cl.Points)
 			}
 			return r.Instructions, nil
 		}, nil

@@ -33,12 +33,6 @@ var (
 	defaultTracer   = NewTracer()
 )
 
-// Default returns the process-wide registry the instrumented packages use.
-func Default() *Registry { return defaultRegistry }
-
-// DefaultTracer returns the process-wide tracer.
-func DefaultTracer() *Tracer { return defaultTracer }
-
 // NewCounter finds or creates the named counter in the default registry.
 // Resolve once (package var or local), then Add on the handle.
 func NewCounter(name string) *Counter { return defaultRegistry.Counter(name) }

@@ -441,8 +441,8 @@ func TestMinimizeDistinguishesKeysAndShrinksSelection(t *testing.T) {
 // pipeline-parallel determinism contract: a server running the
 // trace-driven stages on the parallel engine (Config.TraceWorkers > 0)
 // must serve byte-for-byte the same segment and cluster responses as a
-// serial server over the same requests — the engine and the ObserveChunkPar
-// consumers change latency, never bytes.
+// serial server over the same requests — the engine changes latency,
+// never bytes.
 func TestTraceWorkersByteIdenticalResponses(t *testing.T) {
 	selectReq, err := service.SelectRequest{
 		Workload: itWorkload,

@@ -284,10 +284,10 @@ type Pipeline struct {
 	// Workers is the pipeline-parallel engine's worker count for the
 	// trace-driven stages (Trace, project): 0 keeps the serial streaming
 	// path; > 0 decouples trace production from chunk analysis
-	// (trace.Config.Workers) and fans per-chunk projection over workers.
-	// Either way the streamed artifacts — and therefore the response
-	// bytes — are bit-identical; only latency changes. Set before serving
-	// requests; it is not part of any cache key for exactly that reason.
+	// (trace.Config.Workers). Either way the streamed artifacts — and
+	// therefore the response bytes — are bit-identical; only latency
+	// changes. Set before serving requests; it is not part of any cache
+	// key for exactly that reason.
 	Workers int
 
 	progs  store.Memo[string, *minivm.Program]
@@ -296,9 +296,6 @@ type Pipeline struct {
 	traces store.Memo[store.Key, *TraceArtifact]
 	projs  store.Memo[projKey, *ProjArtifact]
 }
-
-// NewPipeline builds an empty pipeline cache.
-func NewPipeline() *Pipeline { return &Pipeline{} }
 
 // stage wraps one memoized stage access in a request-scoped span tagged
 // with its cache outcome. The compute closure runs (on the flight
@@ -431,7 +428,7 @@ func (p *Pipeline) project(ctx context.Context, req ClusterRequest) (*ProjArtifa
 			obs.SpanFromContext(cctx).SetTag("workers", fmt.Sprint(p.Workers))
 			cfg.Sink = func(chunk []trace.Interval) error {
 				art.observe(chunk)
-				proj.ObserveChunkPar(chunk, p.Workers)
+				proj.ObserveChunk(chunk)
 				return nil
 			}
 			res, err := trace.Run(cfg)

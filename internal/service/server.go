@@ -124,9 +124,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Store returns the server's artifact store (stress reporting, tests).
 func (s *Server) Store() *store.Store { return s.cfg.Store }
 
-// Pipeline returns the server's artifact pipeline (tests).
-func (s *Server) Pipeline() *Pipeline { return s.pl }
-
 // StartDrain stops admitting work: pipeline endpoints answer 503 and
 // /healthz flips unhealthy so load balancers stop routing here. Pair with
 // http.Server.Shutdown, which waits for in-flight handlers.

@@ -150,8 +150,8 @@ func (s *Server) instrument(path string, track bool, h http.HandlerFunc) http.Ha
 
 		rw := &respWriter{ResponseWriter: w}
 		rt.inflight.Add(1)
+		defer rt.inflight.Add(-1) // a panicking handler must not leave it raised
 		h(rw, r.WithContext(obs.ContextWithSpan(r.Context(), sp)))
-		rt.inflight.Add(-1)
 		d := sp.End()
 		if rw.status == 0 { // handler wrote nothing at all
 			rw.status = http.StatusOK

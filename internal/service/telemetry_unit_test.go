@@ -1,6 +1,8 @@
 package service
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -101,5 +103,23 @@ func TestRouteTelemetryObserve(t *testing.T) {
 	}
 	if n := obs.NewCounter("http.unit.test.status.2xx").Load(); n != 2 {
 		t.Errorf("2xx counter = %d, want 2", n)
+	}
+}
+
+// A panicking handler must still bring its route's in-flight gauge back
+// to zero; net/http recovers the panic and keeps serving.
+func TestInstrumentPanicReleasesInflight(t *testing.T) {
+	const path = "/test/instrument-panic"
+	h := (&Server{}).instrument(path, false, func(http.ResponseWriter, *http.Request) { panic("boom") })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("recovered %v, want the handler's panic", r)
+			}
+		}()
+		h(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+	}()
+	if v := obs.NewGauge("http." + routeName(path) + ".inflight").Load(); v != 0 {
+		t.Fatalf("inflight gauge = %d after a panicking request, want 0", v)
 	}
 }

@@ -99,8 +99,8 @@ func (r *StreamResult) Weights() []float64 {
 //
 // This is the bounded-memory path: unlike StreamProjector + Cluster it is
 // NOT bit-identical to batch clustering (a single pass cannot revisit
-// early assignments), so it backs scale amplification and fleet-size
-// corpora while the exact path remains the default for paper figures.
+// early assignments), so it backs scale amplification while the exact
+// path remains the default for paper figures.
 type StreamKMeans struct {
 	opts       Options
 	proj       *stats.Projection
@@ -116,9 +116,6 @@ type StreamKMeans struct {
 	centers Matrix
 	mass    []float64
 	scratch []float64
-	// parRows is ObserveChunkPar's per-chunk projection scratch (one row
-	// per interval), reused across chunks.
-	parRows []float64
 	points  int
 	sse     float64
 }

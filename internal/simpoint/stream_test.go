@@ -185,3 +185,63 @@ func TestStreamKMeansBoundedMemory(t *testing.T) {
 		t.Fatalf("Observe allocates %v times per call at steady state, want 0", allocs)
 	}
 }
+
+// A StreamKMeans result must not depend on how the stream is chunked:
+// same centroids, mass, SSE at every chunk size. Chunk size 40 lands the
+// seed boundary mid-chunk (seedTarget 64 with ForceK 2), so one chunk
+// feeds both the seeding buffer and the mini-batch absorptions.
+func TestStreamKMeansChunkSizeInvariance(t *testing.T) {
+	const numBlocks, dims = 64, 8
+	opts := Options{ForceK: 2, Dims: dims, Seed: 3, Restarts: 2, MaxIters: 40, Workers: 1}
+	ivs := synthIntervals(500, numBlocks, 9)
+
+	ref := NewStreamKMeans(numBlocks, opts)
+	for _, c := range chunks(ivs, 64) {
+		ref.ObserveChunk(c)
+	}
+	want := ref.Finish()
+
+	for _, size := range []int{1, 7, 40, 256} {
+		s := NewStreamKMeans(numBlocks, opts)
+		for _, c := range chunks(ivs, size) {
+			s.ObserveChunk(c)
+		}
+		got := s.Finish()
+		if got.K != want.K || got.Points != want.Points || got.SSE != want.SSE {
+			t.Fatalf("size=%d: K/Points/SSE %d/%d/%v, want %d/%d/%v",
+				size, got.K, got.Points, got.SSE, want.K, want.Points, want.SSE)
+		}
+		for i := range want.Centers.Data {
+			if got.Centers.Data[i] != want.Centers.Data[i] {
+				t.Fatalf("size=%d: center data differs at %d", size, i)
+			}
+		}
+		for i := range want.Mass {
+			if got.Mass[i] != want.Mass[i] {
+				t.Fatalf("size=%d: mass %d differs", size, i)
+			}
+		}
+	}
+}
+
+// The clusterer's steady state must stay allocation-free per chunk: the
+// streaming engine calls ObserveChunk once per delivered chunk for the
+// whole trace.
+func TestStreamKMeansChunkParSteadyStateAllocs(t *testing.T) {
+	const numBlocks, dims = 64, 8
+	opts := Options{ForceK: 2, Dims: dims, Seed: 3, Restarts: 2, MaxIters: 40, Workers: 1}
+	s := NewStreamKMeans(numBlocks, opts)
+	warm := chunks(synthIntervals(200, numBlocks, 13), 50)
+	for _, c := range warm {
+		s.ObserveChunk(c) // past seeding
+	}
+	if s.centers.N == 0 {
+		t.Fatal("clusterer still unseeded after warmup")
+	}
+	chunk := warm[len(warm)-1]
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.ObserveChunk(chunk)
+	}); allocs != 0 {
+		t.Fatalf("steady-state ObserveChunk allocates %v per chunk, want 0", allocs)
+	}
+}

@@ -43,28 +43,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += delta * (x - w.mean)
 }
 
-// Merge folds another accumulator into w (parallel Welford combination).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	delta := o.mean - w.mean
-	mean := w.mean + delta*float64(o.n)/float64(n)
-	m2 := w.m2 + o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(n)
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
-	w.n, w.mean, w.m2, w.sum = n, mean, m2, w.sum+o.sum
-}
-
 // N reports the number of observations.
 func (w *Welford) N() uint64 { return w.n }
 
@@ -126,25 +104,6 @@ func (a *Weighted) Add(x, w float64) {
 	delta := x - a.mean
 	a.mean += delta * w / a.wsum
 	a.m2 += w * delta * (x - a.mean)
-}
-
-// Merge folds another accumulator into a (parallel weighted combination):
-// the result is identical — up to floating-point association — to adding
-// both accumulators' observation streams into one.
-func (a *Weighted) Merge(o Weighted) {
-	if o.wsum == 0 {
-		return
-	}
-	if a.wsum == 0 {
-		*a = o
-		return
-	}
-	w := a.wsum + o.wsum
-	delta := o.mean - a.mean
-	a.mean += delta * o.wsum / w
-	a.m2 += o.m2 + delta*delta*a.wsum*o.wsum/w
-	a.wsum = w
-	a.count += o.count
 }
 
 // N reports the number of (nonzero-weight) observations.

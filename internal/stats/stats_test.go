@@ -86,39 +86,6 @@ func TestWelfordMatchesNaive(t *testing.T) {
 	}
 }
 
-// Property: merging two accumulators equals accumulating the concatenation.
-func TestWelfordMergeEquivalence(t *testing.T) {
-	f := func(a, b []float64) bool {
-		sane := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = sane(a), sane(b)
-		var wa, wb, all Welford
-		for _, x := range a {
-			wa.Add(x)
-			all.Add(x)
-		}
-		for _, x := range b {
-			wb.Add(x)
-			all.Add(x)
-		}
-		wa.Merge(wb)
-		return wa.N() == all.N() &&
-			almostEqual(wa.Mean(), all.Mean(), 1e-9) &&
-			almostEqual(wa.Variance(), all.Variance(), 1e-6) &&
-			wa.Min() == all.Min() && wa.Max() == all.Max()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestWeightedMatchesUnweightedWithUnitWeights(t *testing.T) {
 	xs := []float64{1, 5, 2, 8, 3, 3, 9}
 	var w Welford
@@ -150,51 +117,6 @@ func TestWeightedScaling(t *testing.T) {
 	c.Add(1, -5)
 	if c.N() != 0 {
 		t.Error("non-positive weights must be ignored")
-	}
-}
-
-func TestWeightedMergeEquivalence(t *testing.T) {
-	f := func(a, b []float64) bool {
-		sane := func(xs []float64) []float64 {
-			out := xs[:0]
-			for _, x := range xs {
-				if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-					out = append(out, x)
-				}
-			}
-			return out
-		}
-		a, b = sane(a), sane(b)
-		var wa, wb, all Weighted
-		for i, x := range a {
-			w := float64(i%7 + 1)
-			wa.Add(x, w)
-			all.Add(x, w)
-		}
-		for i, x := range b {
-			w := float64(i%5 + 1)
-			wb.Add(x, w)
-			all.Add(x, w)
-		}
-		wa.Merge(wb)
-		return wa.N() == all.N() &&
-			almostEqual(wa.WeightSum(), all.WeightSum(), 1e-9) &&
-			almostEqual(wa.Mean(), all.Mean(), 1e-9) &&
-			almostEqual(wa.Variance(), all.Variance(), 1e-6)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-	// Merging into/from empty.
-	var empty, one Weighted
-	one.Add(4, 2)
-	empty.Merge(one)
-	if empty.Mean() != 4 || empty.WeightSum() != 2 {
-		t.Fatalf("merge into empty: %+v", empty)
-	}
-	one.Merge(Weighted{})
-	if one.Mean() != 4 || one.N() != 1 {
-		t.Fatalf("merge from empty changed state: %+v", one)
 	}
 }
 

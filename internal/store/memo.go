@@ -1,6 +1,13 @@
 package store
 
-import "sync"
+import (
+	"errors"
+	"sync"
+)
+
+// errComputePanicked is what callers waiting on a computation get when
+// that compute panics.
+var errComputePanicked = errors.New("store: compute panicked")
 
 // Memo is the in-memory counterpart of Store: a keyed, compute-once cache
 // with singleflight semantics for values that are too expensive (or
@@ -10,7 +17,9 @@ import "sync"
 // computes, concurrent requesters block on that one computation, and a
 // successful value is cached for the Memo's lifetime. Errors are not
 // cached: waiters of a failed flight share the leader's error, and the
-// next requester retries.
+// next requester retries. A panicking compute fails its flight the same
+// way: waiters get an error, and the panic continues in the caller that
+// ran compute.
 //
 // The same re-entrancy contract as Store.GetOrCompute applies: compute
 // runs with no lock held, so it may Do other keys (or other Memos), but
@@ -64,19 +73,22 @@ func (m *Memo[K, V]) DoOutcome(k K, compute func() (V, error)) (V, Outcome, erro
 		<-f.ch
 		return f.val, Joined, f.err
 	}
-	f := &memoFlight[V]{ch: make(chan struct{})}
+	// f.err stays errComputePanicked unless compute returns, so the
+	// deferred release fails the flight if compute panics.
+	f := &memoFlight[V]{ch: make(chan struct{}), err: errComputePanicked}
 	e.inflight = f
 	m.mu.Unlock()
+	defer func() {
+		m.mu.Lock()
+		if f.err == nil {
+			e.val, e.done = f.val, true
+		}
+		e.inflight = nil
+		m.mu.Unlock()
+		close(f.ch)
+	}()
 
 	f.val, f.err = compute()
-
-	m.mu.Lock()
-	if f.err == nil {
-		e.val, e.done = f.val, true
-	}
-	e.inflight = nil
-	m.mu.Unlock()
-	close(f.ch)
 	return f.val, Computed, f.err
 }
 

@@ -213,7 +213,9 @@ func (s *Store) Get(k Key) ([]byte, bool, error) {
 // leader checks the disk and (on miss) runs compute; everyone else blocks
 // on the result. A compute or persist error is returned to the leader and
 // every joiner but is not cached — the flight is forgotten and the next
-// caller starts fresh, so a transient failure cannot poison the key.
+// caller starts fresh, so a transient failure cannot poison the key. A
+// panicking compute fails its flight the same way: joiners get an
+// error, nothing is written, and the panic continues in the leader.
 //
 // When ctx carries an obs.Span, the flight's phases attach to it as child
 // spans (SpanGet / SpanCompute / SpanWrite for the leader, SpanJoin for a
@@ -240,16 +242,18 @@ func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func(context.Co
 		}
 		return f.val, Joined, f.err
 	}
-	f := &flight{ch: make(chan struct{})}
+	// f.err stays errComputePanicked unless lead returns (see Memo).
+	f := &flight{ch: make(chan struct{}), err: errComputePanicked}
 	s.inflight[k] = f
 	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, k)
+		s.mu.Unlock()
+		close(f.ch)
+	}()
 
 	f.val, f.outcome, f.err = s.lead(ctx, k, compute)
-
-	s.mu.Lock()
-	delete(s.inflight, k)
-	s.mu.Unlock()
-	close(f.ch)
 	return f.val, f.outcome, f.err
 }
 

@@ -8,10 +8,14 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"phasemark/internal/obs"
 )
 
 func testKey(s string) Key { return KeyOf("test/v1", []byte(s)) }
@@ -312,6 +316,128 @@ func TestMemoChainedKeysDoNotDeadlock(t *testing.T) {
 	})
 	if err != nil || v != 1 {
 		t.Fatalf("chained Do: %d, %v", v, err)
+	}
+}
+
+// awaitReturn fails the test if done is not closed within 2 s, so a key
+// left blocked by a panicking compute fails the test instead of hanging
+// the suite.
+func awaitReturn(t *testing.T, done <-chan struct{}, who string) {
+	t.Helper()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("%s still blocked after 2s", who)
+	}
+}
+
+// A compute that panics must release its key: the panic continues in the
+// caller that ran compute, a caller waiting on that computation gets an
+// error, nothing is cached, and the next call computes again.
+func TestMemoComputePanicReleasesKey(t *testing.T) {
+	var m Memo[int, int]
+	// The waiter joins the panicking flight unless it reaches the memo
+	// only after the flight has ended; that race is rare, and a fresh key
+	// retries it.
+	for k := 0; k < 100; k++ {
+		started, release := make(chan struct{}), make(chan struct{})
+		recovered := make(chan any, 1)
+		go func() {
+			defer func() { recovered <- recover() }()
+			m.Do(k, func() (int, error) {
+				close(started)
+				<-release
+				panic("boom")
+			})
+		}()
+		<-started
+		var out Outcome
+		var err error
+		waited := make(chan struct{})
+		go func() {
+			defer close(waited)
+			_, out, err = m.DoOutcome(k, func() (int, error) { return 0, nil })
+		}()
+		runtime.Gosched()
+		close(release)
+		if r := <-recovered; r != "boom" {
+			t.Fatalf("the computing caller recovered %v, want the compute's panic", r)
+		}
+		awaitReturn(t, waited, "a caller waiting on the panicking compute")
+		if out != Joined {
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("waiter err = %v, want the compute-panicked error", err)
+		}
+		var v int
+		var out2 Outcome
+		next := make(chan struct{})
+		go func() {
+			defer close(next)
+			v, out2, err = m.DoOutcome(k, func() (int, error) { return 7, nil })
+		}()
+		awaitReturn(t, next, "the next call after the panic")
+		if err != nil || v != 7 || out2 != Computed {
+			t.Fatalf("next call: %d, %v, %v; want 7 computed", v, out2, err)
+		}
+		return
+	}
+	t.Fatal("no waiter ever joined the panicking compute")
+}
+
+func TestStoreComputePanicReleasesKey(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := testKey("panics")
+	started, release := make(chan struct{}), make(chan struct{})
+	recovered := make(chan any, 1)
+	go func() {
+		defer func() { recovered <- recover() }()
+		s.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-started
+	// A joiner opens its SpanJoin child before it blocks, so once that
+	// child exists the waiter is committed to the panicking flight.
+	sp := obs.NewTracer().StartSpan("waiter", "")
+	var joinErr error
+	waited := make(chan struct{})
+	go func() {
+		defer close(waited)
+		_, _, joinErr = s.GetOrCompute(obs.ContextWithSpan(context.Background(), sp), k,
+			func(context.Context) ([]byte, error) { return nil, errors.New("waiter ran compute") })
+	}()
+	for len(sp.Snapshot().Children) == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if r := <-recovered; r != "boom" {
+		t.Fatalf("the leader recovered %v, want the compute's panic", r)
+	}
+	awaitReturn(t, waited, "a caller waiting on the panicking compute")
+	if joinErr == nil || !strings.Contains(joinErr.Error(), "panicked") {
+		t.Fatalf("joiner err = %v, want the compute-panicked error", joinErr)
+	}
+	if _, ok, err := s.Get(k); ok || err != nil {
+		t.Fatalf("after the panic: stored %v, err %v; want nothing written", ok, err)
+	}
+	var data []byte
+	var out Outcome
+	next := make(chan struct{})
+	go func() {
+		defer close(next)
+		data, out, err = s.GetOrCompute(context.Background(), k,
+			func(context.Context) ([]byte, error) { return []byte("ok"), nil })
+	}()
+	awaitReturn(t, next, "the next call after the panic")
+	if err != nil || out != Computed || string(data) != "ok" {
+		t.Fatalf("next call: %q, %v, %v; want ok computed", data, out, err)
 	}
 }
 

@@ -252,28 +252,17 @@ func synthMetricChunk(n int) []Interval {
 	return out
 }
 
-// CoVAccumulator.ObserveChunkPar must be bit-identical to ObserveChunk
-// at any worker count, and allocation-free per chunk on the inline path
-// once every phase has been seen.
-func TestCoVObserveChunkParBitIdentical(t *testing.T) {
+// CoVAccumulator.ObserveChunk must be allocation-free per chunk once
+// every phase has been seen: the streaming engine calls it once per
+// delivered chunk for the whole trace.
+func TestCoVObserveChunkSteadyStateAllocs(t *testing.T) {
 	chunk := synthMetricChunk(257)
-	ref := NewCoVAccumulator(IntervalPhase, CPIMetric)
-	ref.ObserveChunk(chunk)
-	want := ref.Result()
-	for _, workers := range []int{1, 4, 16} {
-		a := NewCoVAccumulator(IntervalPhase, CPIMetric)
-		a.ObserveChunkPar(chunk, workers)
-		if got := a.Result(); got != want {
-			t.Fatalf("workers=%d: %+v, want %+v", workers, got, want)
-		}
-	}
-
 	a := NewCoVAccumulator(IntervalPhase, CPIMetric)
-	a.ObserveChunkPar(chunk, 1) // all phases seen; scratch warm
+	a.ObserveChunk(chunk) // all phases seen
 	if allocs := testing.AllocsPerRun(100, func() {
-		a.ObserveChunkPar(chunk, 1)
+		a.ObserveChunk(chunk)
 	}); allocs != 0 {
-		t.Fatalf("steady-state ObserveChunkPar allocates %v per chunk, want 0", allocs)
+		t.Fatalf("steady-state ObserveChunk allocates %v per chunk, want 0", allocs)
 	}
 }
 

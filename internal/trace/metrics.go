@@ -3,7 +3,6 @@ package trace
 import (
 	"sort"
 
-	"phasemark/internal/par"
 	"phasemark/internal/stats"
 )
 
@@ -41,9 +40,6 @@ type CoVAccumulator struct {
 	groups   map[int]*stats.Weighted
 	totalLen float64
 	n        int
-	// parVals is ObserveChunkPar's per-chunk metric scratch, reused
-	// across chunks.
-	parVals []float64
 }
 
 // NewCoVAccumulator builds a single-pass accumulator. phaseOf maps an
@@ -57,11 +53,6 @@ func NewCoVAccumulator(phaseOf func(*Interval) int, metric Metric) *CoVAccumulat
 // Observe folds one interval into the per-phase statistics. Nothing in iv
 // is retained.
 func (a *CoVAccumulator) Observe(iv *Interval) {
-	a.observeVal(iv, a.metric(iv))
-}
-
-// observeVal folds one interval whose metric value is already computed.
-func (a *CoVAccumulator) observeVal(iv *Interval, v float64) {
 	id := a.phaseOf(iv)
 	g := a.groups[id]
 	if g == nil {
@@ -69,7 +60,7 @@ func (a *CoVAccumulator) observeVal(iv *Interval, v float64) {
 		a.groups[id] = g
 	}
 	w := float64(iv.Len())
-	g.Add(v, w)
+	g.Add(a.metric(iv), w)
 	a.totalLen += w
 	a.n++
 }
@@ -79,44 +70,6 @@ func (a *CoVAccumulator) ObserveChunk(chunk []Interval) {
 	for i := range chunk {
 		a.Observe(&chunk[i])
 	}
-}
-
-// ObserveChunkPar is ObserveChunk with the per-interval metric
-// extraction fanned over up to workers goroutines; the order-sensitive
-// running-statistics updates then apply sequentially in chunk order, so
-// the result is bit-identical to ObserveChunk at any worker count.
-// workers <= 1 runs the serial path unchanged.
-func (a *CoVAccumulator) ObserveChunkPar(chunk []Interval, workers int) {
-	if workers <= 1 || len(chunk) < 2 {
-		a.ObserveChunk(chunk)
-		return
-	}
-	if cap(a.parVals) < len(chunk) {
-		a.parVals = make([]float64, len(chunk))
-	}
-	vals := a.parVals[:len(chunk)]
-	par.ForEach(len(chunk), workers, nil, func(_, i int) {
-		vals[i] = a.metric(&chunk[i])
-	})
-	for i := range chunk {
-		a.observeVal(&chunk[i], vals[i])
-	}
-}
-
-// Merge folds another accumulator into a, enabling parallel single-pass
-// accumulation over sharded traces. Both must use equivalent phaseOf and
-// metric functions.
-func (a *CoVAccumulator) Merge(o *CoVAccumulator) {
-	for id, g := range o.groups {
-		mine := a.groups[id]
-		if mine == nil {
-			mine = &stats.Weighted{}
-			a.groups[id] = mine
-		}
-		mine.Merge(*g)
-	}
-	a.totalLen += o.totalLen
-	a.n += o.n
 }
 
 // Result summarizes the observations so far. Phases fold in ascending
@@ -170,13 +123,4 @@ func IntervalPhase(iv *Interval) int { return iv.PhaseID }
 // paper's "whole program" variability baseline in Figure 9.
 func WholeProgramCoV(ivs []*Interval, metric Metric) float64 {
 	return PhaseCoV(ivs, func(*Interval) int { return 0 }, metric).CoV
-}
-
-// UniquePhases counts distinct phase IDs among the intervals.
-func UniquePhases(ivs []*Interval, phaseOf func(*Interval) int) int {
-	seen := map[int]bool{}
-	for _, iv := range ivs {
-		seen[phaseOf(iv)] = true
-	}
-	return len(seen)
 }

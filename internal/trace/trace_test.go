@@ -126,9 +126,6 @@ func TestMarkerPhasesSeparateBehavior(t *testing.T) {
 	if cov.Phases < 2 {
 		t.Fatalf("phases = %d", cov.Phases)
 	}
-	if got := UniquePhases(res.Intervals, IntervalPhase); got != cov.Phases {
-		t.Fatalf("UniquePhases=%d vs %d", got, cov.Phases)
-	}
 }
 
 func TestPhaseCoVWeighting(t *testing.T) {
@@ -178,8 +175,8 @@ func TestCutDedupAtExactEnd(t *testing.T) {
 	}
 }
 
-// The single-pass accumulator (streamed in chunks, sharded and merged)
-// must agree with the materialized PhaseCoV.
+// The single-pass accumulator, streamed in chunks, must agree with the
+// materialized PhaseCoV.
 func TestCoVAccumulatorMatchesPhaseCoV(t *testing.T) {
 	cfg, _ := compileAndMark(t, 50_000)
 	res, err := Run(*cfg)
@@ -201,24 +198,6 @@ func TestCoVAccumulatorMatchesPhaseCoV(t *testing.T) {
 	acc.ObserveChunk(chunk)
 	if got := acc.Result(); got != want {
 		t.Fatalf("chunked accumulation %+v != materialized %+v", got, want)
-	}
-
-	// Sharded + merged observation.
-	a, b := NewCoVAccumulator(IntervalPhase, CPIMetric), NewCoVAccumulator(IntervalPhase, CPIMetric)
-	for i, iv := range res.Intervals {
-		if i%2 == 0 {
-			a.Observe(iv)
-		} else {
-			b.Observe(iv)
-		}
-	}
-	a.Merge(b)
-	got := a.Result()
-	if got.Phases != want.Phases || got.Intervals != want.Intervals {
-		t.Fatalf("merged accumulation %+v != %+v", got, want)
-	}
-	if d := got.CoV - want.CoV; d > 1e-9 || d < -1e-9 {
-		t.Fatalf("merged CoV %v != %v", got.CoV, want.CoV)
 	}
 }
 
