@@ -214,22 +214,6 @@ func BenchmarkInterpreter(b *testing.B) {
 	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
-// BenchmarkProfilingOverhead measures the cost of building the call-loop
-// graph relative to plain execution.
-func BenchmarkProfilingOverhead(b *testing.B) {
-	w, err := workloads.ByName("gzip")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := w.MustCompile(false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := phasemark.Profile(prog, w.Train...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ablationCoV measures the Fig-9 style per-phase CoV of CPI on the ref
 // input for a given selection variant, averaged over three representative
 // programs (one regular, one alternating, one irregular).

@@ -11,7 +11,7 @@ import (
 // runBench measures the shared hot-path benchmark stages
 // (internal/hotbench — the same suite CI's perf gate runs as
 // BenchmarkHotpath) and records them under label in the
-// phasemark/bench-hotpath/v2 report at outPath. stageFilter selects a
+// phasemark/bench-hotpath/v3 report at outPath. stageFilter selects a
 // comma-separated subset of stages (empty = all); naming a stage that
 // does not exist is a usage error (exit 2), matching the -fig
 // convention. scale is the trace amplifier applied to the streaming

@@ -65,7 +65,7 @@ func main() {
 	placementModes := flag.String("placement-modes", "", "with -fig placement: comma-separated minimized-mode subset to report (cross,limit; default all; unknown names exit 2)")
 	checkRun := flag.Bool("check", false, "run the correctness harness instead of figures: differential backend oracle, segmentation/clustering invariants, detector/instrumentation equivalence over every workload (exit 1 on any violation)")
 	benchRun := flag.Bool("bench", false, "benchmark the hot-path stages (internal/hotbench) instead of generating figures, recording ns/op, allocs/op and throughput per stage")
-	benchOut := flag.String("bench-out", "BENCH_hotpath.json", "with -bench: write/merge the phasemark/bench-hotpath/v2 report here")
+	benchOut := flag.String("bench-out", "BENCH_hotpath.json", "with -bench: write/merge the phasemark/bench-hotpath/v3 report here")
 	benchLabel := flag.String("bench-label", "local", "with -bench: label for this measurement run (an existing run with the same label is updated stage-wise)")
 	benchStages := flag.String("bench-stages", "", "with -bench: comma-separated stage subset to measure (default all; unknown names exit 2)")
 	benchScale := flag.Int("scale", 1, "with -bench: trace amplifier for the streaming stages — the workload executes N times as one long trace (memory stays bounded; see pipeline_e2e_stream); must be >= 1")

@@ -19,44 +19,36 @@ type BoundaryFunc func(marker int, at uint64)
 type Detector struct {
 	*Walker
 	set    *MarkerSet
-	bySite [][]siteMarker
+	marker []int32 // walker edge id -> marker index, or -1 for none
 	seen   []uint64
 	fired  []uint64
 	onFire BoundaryFunc
 }
 
-// siteMarker is one marker anchored at a site block, for the dense
-// site-indexed lookup detectSink uses on the hot path.
-type siteMarker struct {
-	key EdgeKey
-	idx int
-}
-
 type detectSink struct{ d *Detector }
 
-func (s detectSink) EdgeOpen(k EdgeKey, at uint64) {
+func (s detectSink) EdgeOpen(id int32, at uint64) {
 	d := s.d
-	// Almost every edge open is not a marker: reject those with a single
-	// indexed load on the site block ID instead of hashing the full key.
-	if uint(k.Site) >= uint(len(d.bySite)) {
+	// Ids are numbered at their first open, so an unseen id is always the
+	// next one: resolve it against the marker set once, and every later
+	// traversal of the edge is a single indexed load.
+	if int(id) >= len(d.marker) {
+		d.marker = append(d.marker, d.markerOf(d.Key(id)))
+	}
+	i := d.marker[id]
+	if i < 0 {
 		return
 	}
-	for _, sm := range d.bySite[k.Site] {
-		if sm.key == k {
-			i := sm.idx
-			d.seen[i]++
-			if (d.seen[i]-1)%d.set.Markers[i].GroupN == 0 {
-				d.fired[i]++
-				if d.onFire != nil {
-					d.onFire(i, at)
-				}
-			}
-			return
+	d.seen[i]++
+	if (d.seen[i]-1)%d.set.Markers[i].GroupN == 0 {
+		d.fired[i]++
+		if d.onFire != nil {
+			d.onFire(int(i), at)
 		}
 	}
 }
 
-func (s detectSink) EdgeClose(EdgeKey, uint64) {}
+func (s detectSink) EdgeClose(int32, uint64) {}
 
 // edgeOpenOnly tells the walker detection never reads edge closes.
 func (s detectSink) edgeOpenOnly() {}
@@ -69,18 +61,25 @@ func NewDetector(prog *minivm.Program, loops *minivm.Loops, set *MarkerSet, onFi
 	}
 	d := &Detector{
 		set:    set,
-		bySite: make([][]siteMarker, prog.NumBlocks),
 		seen:   make([]uint64, len(set.Markers)),
 		fired:  make([]uint64, len(set.Markers)),
 		onFire: onFire,
 	}
-	for i, mk := range set.Markers {
-		if s := mk.Key.Site; s >= 0 && s < len(d.bySite) {
-			d.bySite[s] = append(d.bySite[s], siteMarker{key: mk.Key, idx: i})
+	// The root edges open on construction, and resolving their ids
+	// already needs d.Walker.
+	d.Walker = newWalker(prog, loops, detectSink{d: d})
+	d.openRoot()
+	return d
+}
+
+// markerOf returns the index of the first marker on edge k, or -1.
+func (d *Detector) markerOf(k EdgeKey) int32 {
+	for i, mk := range d.set.Markers {
+		if mk.Key == k {
+			return int32(i)
 		}
 	}
-	d.Walker = NewWalker(prog, loops, detectSink{d: d})
-	return d
+	return -1
 }
 
 // Fired reports how many times marker i fired.

@@ -14,21 +14,36 @@ type Profiler struct {
 	g *Graph
 }
 
+// profileSink maps the walker's edge ids to graph edges. An edge is
+// created at its first close, through Graph.ensureEdge: the creation
+// order of Graph.Nodes, Graph.Edges and every Node's In and Out is the
+// order of first closes, which EstimateDepths and selection's tie-breaks
+// observe, and each Edge sees its Welford.Add calls in traversal order.
+// TestProfileGraphGolden pins both, float bits included.
 type profileSink struct {
-	g *Graph
+	p     *Profiler
+	edges []*Edge // walker edge id -> graph edge, nil until its first close
 }
 
-func (s profileSink) EdgeOpen(EdgeKey, uint64) {}
+func (s *profileSink) EdgeOpen(int32, uint64) {}
 
-func (s profileSink) EdgeClose(k EdgeKey, hier uint64) {
-	s.g.ensureEdge(k).Hier.Add(float64(hier))
+func (s *profileSink) EdgeClose(id int32, hier uint64) {
+	if int(id) >= len(s.edges) {
+		s.edges = append(s.edges, make([]*Edge, int(id)+1-len(s.edges))...)
+	}
+	e := s.edges[id]
+	if e == nil {
+		e = s.p.g.ensureEdge(s.p.Key(id))
+		s.edges[id] = e
+	}
+	e.Hier.Add(float64(hier))
 }
 
 // NewProfiler builds a profiler (and its graph) for prog.
 func NewProfiler(prog *minivm.Program) *Profiler {
 	g := NewGraph(prog)
 	p := &Profiler{g: g}
-	p.Walker = NewWalker(prog, g.Loops, profileSink{g: g})
+	p.Walker = NewWalker(prog, g.Loops, &profileSink{p: p})
 	return p
 }
 

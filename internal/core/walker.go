@@ -9,28 +9,40 @@ import (
 // EdgeSink receives call-loop edge traversal events from a Walker. The
 // profiler implements it to accumulate edge statistics; the marker
 // detector implements it to fire phase boundaries.
+//
+// Edges are named by dense ids the walker hands out in first-open order
+// (0, 1, 2, ...); Walker.Key maps an id back to its stable EdgeKey. A
+// sink keeps per-edge state in slices indexed by id and resolves the key
+// once per edge, not once per traversal.
 type EdgeSink interface {
-	// EdgeOpen fires when a traversal of edge k begins, with the dynamic
-	// instruction count at that point. A software phase marker placed on k
-	// signals the beginning of an interval here.
-	EdgeOpen(k EdgeKey, at uint64)
+	// EdgeOpen fires when a traversal of edge id begins, with the dynamic
+	// instruction count at that point. A software phase marker placed on
+	// the edge signals the beginning of an interval here.
+	EdgeOpen(id int32, at uint64)
 	// EdgeClose fires when the traversal ends; hier is the hierarchical
 	// dynamic instruction count spent on the traversal.
-	EdgeClose(k EdgeKey, hier uint64)
+	EdgeClose(id int32, hier uint64)
 }
 
 // edgeOpenOnly marks EdgeSinks whose EdgeClose is a no-op (the detector:
 // markers fire on edge opens). The walker then skips the close call on
-// every pop, which otherwise costs an interface dispatch plus an EdgeKey
-// copy per edge traversal.
+// every pop, which otherwise costs an interface dispatch per edge
+// traversal.
 type edgeOpenOnly interface{ edgeOpenOnly() }
 
 type walkEntry struct {
-	key   EdgeKey
+	id    int32
+	full  bool    // proc-body entry with a head entry beneath it
 	node  NodeKey // the context node this entry establishes
 	start uint64
-	full  bool         // proc-body entry with a head entry beneath it
 	pend  *minivm.Loop // loop-head entry awaiting its first iteration block
+}
+
+// walkEdge is one numbered edge: its key, and the id of the edge
+// numbered before it at the same site (-1 ends the chain).
+type walkEdge struct {
+	key  EdgeKey
+	next int32
 }
 
 // Walker reconstructs call-loop edge traversals from an execution. It is
@@ -50,19 +62,60 @@ type Walker struct {
 	stack    []walkEntry
 	act      []int // activation count per proc ID (recursion detection)
 	openOnly bool  // sink ignores EdgeClose (see edgeOpenOnly)
+
+	edges    []walkEdge // edge id -> key and same-site chain
+	siteEdge []int32    // site block ID -> last edge id numbered there, or -1
+	iterID   []int32    // loop head block ID -> head->body edge id, or -1
 }
 
 // NewWalker builds a walker over prog (with the given loop table, which
-// must come from the same program) reporting to sink.
+// must come from the same program) reporting to sink, and opens the
+// virtual root's edges into the entry procedure.
 func NewWalker(prog *minivm.Program, loops *minivm.Loops, sink EdgeSink) *Walker {
-	w := &Walker{prog: prog, loops: loops, sink: sink, act: make([]int, len(prog.Procs))}
+	w := newWalker(prog, loops, sink)
+	w.openRoot()
+	return w
+}
+
+// newWalker builds a walker without opening the root edges, for sinks
+// that must hold the walker (to resolve ids) before the first EdgeOpen.
+func newWalker(prog *minivm.Program, loops *minivm.Loops, sink EdgeSink) *Walker {
+	w := &Walker{
+		prog: prog, loops: loops, sink: sink,
+		act:      make([]int, len(prog.Procs)),
+		siteEdge: make([]int32, prog.NumBlocks),
+		iterID:   make([]int32, prog.NumBlocks),
+	}
+	for i := range w.siteEdge {
+		w.siteEdge[i], w.iterID[i] = -1, -1
+	}
 	_, w.openOnly = sink.(edgeOpenOnly)
 	w.tracker = minivm.NewLoopTracker(loops, w)
-	entry := prog.EntryProc()
-	// The virtual root calls the entry procedure.
-	root := NodeKey{Kind: RootKind}
-	w.openProc(root, entry, entry.Blocks[0].ID)
 	return w
+}
+
+// openRoot opens the virtual root's call into the entry procedure.
+func (w *Walker) openRoot() {
+	entry := w.prog.EntryProc()
+	w.openProc(NodeKey{Kind: RootKind}, entry, entry.Blocks[0].ID)
+}
+
+// Key returns the stable key of the edge the walker numbered id.
+func (w *Walker) Key(id int32) EdgeKey { return w.edges[id].key }
+
+// edgeID returns the dense id of edge from->to at site, numbering it on
+// its first traversal. Almost every site carries one edge, so the chain
+// walk is a single compare.
+func (w *Walker) edgeID(from, to NodeKey, site int) int32 {
+	for id := w.siteEdge[site]; id >= 0; id = w.edges[id].next {
+		if k := &w.edges[id].key; k.From == from && k.To == to {
+			return id
+		}
+	}
+	id := int32(len(w.edges))
+	w.edges = append(w.edges, walkEdge{key: EdgeKey{From: from, To: to, Site: site}, next: w.siteEdge[site]})
+	w.siteEdge[site] = id
+	return id
 }
 
 // Instructions reports the dynamic instructions observed so far.
@@ -82,15 +135,15 @@ func (w *Walker) top() NodeKey {
 	return w.stack[len(w.stack)-1].node
 }
 
-func (w *Walker) push(key EdgeKey, node NodeKey, full bool) {
-	w.sink.EdgeOpen(key, w.instrs)
-	w.stack = append(w.stack, walkEntry{key: key, node: node, start: w.instrs, full: full})
+func (w *Walker) push(id int32, node NodeKey, full bool) {
+	w.sink.EdgeOpen(id, w.instrs)
+	w.stack = append(w.stack, walkEntry{id: id, full: full, node: node, start: w.instrs})
 }
 
 func (w *Walker) pop() {
 	n := len(w.stack) - 1
 	if !w.openOnly {
-		w.sink.EdgeClose(w.stack[n].key, w.instrs-w.stack[n].start)
+		w.sink.EdgeClose(w.stack[n].id, w.instrs-w.stack[n].start)
 	}
 	w.stack = w.stack[:n]
 }
@@ -98,8 +151,8 @@ func (w *Walker) pop() {
 func (w *Walker) openProc(ctx NodeKey, callee *minivm.Proc, site int) {
 	head := NodeKey{Kind: ProcHead, ID: callee.ID}
 	body := NodeKey{Kind: ProcBody, ID: callee.ID}
-	w.push(EdgeKey{From: ctx, To: head, Site: site}, head, false)
-	w.push(EdgeKey{From: head, To: body, Site: callee.Blocks[0].ID}, body, true)
+	w.push(w.edgeID(ctx, head, site), head, false)
+	w.push(w.edgeID(head, body, callee.Blocks[0].ID), body, true)
 	w.act[callee.ID]++
 }
 
@@ -111,9 +164,14 @@ func (w *Walker) resolvePending() {
 	top := &w.stack[len(w.stack)-1]
 	l := top.pend
 	top.pend = nil
-	head := NodeKey{Kind: LoopHead, ID: l.Head.ID}
 	body := NodeKey{Kind: LoopBody, ID: l.Head.ID}
-	w.push(EdgeKey{From: head, To: body, Site: l.Head.ID}, body, false)
+	id := w.iterID[l.Head.ID]
+	if id < 0 {
+		// A loop's head->body edge is the same edge on every iteration.
+		id = w.edgeID(NodeKey{Kind: LoopHead, ID: l.Head.ID}, body, l.Head.ID)
+		w.iterID[l.Head.ID] = id
+	}
+	w.push(id, body, false)
 }
 
 // OnBlock implements minivm.Observer.
@@ -143,7 +201,7 @@ func (w *Walker) OnCall(site *minivm.Block, callee *minivm.Proc) {
 		// Recursive activation: traverse directly to the body node so the
 		// head's incoming edge measures the entire outermost episode (§4.2).
 		body := NodeKey{Kind: ProcBody, ID: callee.ID}
-		w.push(EdgeKey{From: ctx, To: body, Site: site.ID}, body, false)
+		w.push(w.edgeID(ctx, body, site.ID), body, false)
 		w.act[callee.ID]++
 		return
 	}
@@ -176,7 +234,7 @@ func (w *Walker) OnMem(uint64, bool) {}
 func (w *Walker) OnLoopEnter(l *minivm.Loop) {
 	ctx := w.top()
 	head := NodeKey{Kind: LoopHead, ID: l.Head.ID}
-	w.push(EdgeKey{From: ctx, To: head, Site: l.Head.ID}, head, false)
+	w.push(w.edgeID(ctx, head, l.Head.ID), head, false)
 	w.stack[len(w.stack)-1].pend = l // body opens at the first iteration block
 }
 
@@ -221,8 +279,7 @@ func (w *Walker) Restart() error {
 			return fmt.Errorf("core: restart with unbalanced activations for proc %d: %d", id, a)
 		}
 	}
-	entry := w.prog.EntryProc()
-	w.openProc(NodeKey{Kind: RootKind}, entry, entry.Blocks[0].ID)
+	w.openRoot()
 	return nil
 }
 

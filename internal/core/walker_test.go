@@ -11,37 +11,60 @@ import (
 
 // balanceSink checks the fundamental walker invariants: every open has a
 // matching close (LIFO), hierarchical counts are non-negative, and nested
-// traversals are contained within their parents.
+// traversals are contained within their parents. Ids must be numbered
+// densely in first-open order.
 type balanceSink struct {
 	t     *testing.T
 	stack []struct {
-		key EdgeKey
-		at  uint64
+		id int32
+		at uint64
 	}
 	opens, closes int
+	maxID         int32
 }
 
-func (s *balanceSink) EdgeOpen(k EdgeKey, at uint64) {
+func (s *balanceSink) EdgeOpen(id int32, at uint64) {
 	if n := len(s.stack); n > 0 && at < s.stack[n-1].at {
 		s.t.Fatalf("open at %d before parent open at %d", at, s.stack[n-1].at)
 	}
+	if id < 0 || id > s.maxID+1 || (s.opens == 0 && id != 0) {
+		s.t.Fatalf("edge id %d opened with ids 0..%d numbered so far", id, s.maxID)
+	}
+	s.maxID = max(s.maxID, id)
 	s.stack = append(s.stack, struct {
-		key EdgeKey
-		at  uint64
-	}{k, at})
+		id int32
+		at uint64
+	}{id, at})
 	s.opens++
 }
 
-func (s *balanceSink) EdgeClose(k EdgeKey, hier uint64) {
+func (s *balanceSink) EdgeClose(id int32, hier uint64) {
 	if len(s.stack) == 0 {
 		s.t.Fatal("close without open")
 	}
 	top := s.stack[len(s.stack)-1]
-	if top.key != k {
-		s.t.Fatalf("non-LIFO close: %v, open stack top %v", k, top.key)
+	if top.id != id {
+		s.t.Fatalf("non-LIFO close: %d, open stack top %d", id, top.id)
 	}
 	s.stack = s.stack[:len(s.stack)-1]
 	s.closes++
+}
+
+// checkEdgeIDs asserts the walker's numbering is a bijection: no two ids
+// share a key, and every id's key resolves back to that id.
+func checkEdgeIDs(t *testing.T, w *Walker) {
+	t.Helper()
+	seen := make(map[EdgeKey]int32, len(w.edges))
+	for id := int32(0); int(id) < len(w.edges); id++ {
+		k := w.Key(id)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("edge %v has ids %d and %d", k, prev, id)
+		}
+		seen[k] = id
+		if back := w.edgeID(k.From, k.To, k.Site); back != id {
+			t.Fatalf("edge %v: id %d resolves to %d", k, id, back)
+		}
+	}
 }
 
 // genProgram builds a random but structurally valid program: a few procs
@@ -100,10 +123,64 @@ func TestWalkerInvariantsOnRandomPrograms(t *testing.T) {
 		if len(sink.stack) != 0 {
 			t.Fatalf("seed %d: %d traversals left open", seed, len(sink.stack))
 		}
+		if int(sink.maxID)+1 != len(w.edges) {
+			t.Fatalf("seed %d: sink saw ids 0..%d, walker numbered %d edges", seed, sink.maxID, len(w.edges))
+		}
+		checkEdgeIDs(t, w)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// mutualRecursion has one call site (g's call to f) that reaches f both
+// as an outermost activation (main -> g -> f) and as a recursive one
+// (f -> g -> f): two edges with the same source node and site.
+const mutualRecursion = `
+proc f(n) {
+	if (n > 0) { return g(n - 1) + 1; }
+	return 0;
+}
+proc g(n) {
+	return f(n) + 1;
+}
+proc main(n) {
+	return g(n) + f(n);
+}
+`
+
+// TestEdgeIDsSeparateRecursiveActivations pins that the walker's edge
+// numbering tells edges apart by target too, not just by source and
+// site: the recursive activation is its own edge, with its own id and
+// statistics.
+func TestEdgeIDsSeparateRecursiveActivations(t *testing.T) {
+	prog := mustCompile(t, mutualRecursion, false)
+	sink := &balanceSink{t: t}
+	w := NewWalker(prog, minivm.FindLoops(prog), sink)
+	if _, err := minivm.NewMachine(prog, w).Run(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	checkEdgeIDs(t, w)
+
+	g := mustProfile(t, prog, 3)
+	f, gp := prog.Proc("f"), prog.Proc("g")
+	from := NodeKey{Kind: ProcBody, ID: gp.ID}
+	var outer *Edge
+	for _, e := range g.Edges {
+		if e.Key.From == from && e.Key.To == (NodeKey{Kind: ProcHead, ID: f.ID}) {
+			outer = e
+		}
+	}
+	if outer == nil {
+		t.Fatal("no outermost call edge g -> f")
+	}
+	rec := g.EdgeByKey(EdgeKey{From: from, To: NodeKey{Kind: ProcBody, ID: f.ID}, Site: outer.Key.Site})
+	if rec == nil || rec.Count() == 0 {
+		t.Fatalf("recursive activation at site %d folded into %v", outer.Key.Site, outer.Key)
 	}
 }
 

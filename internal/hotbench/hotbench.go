@@ -28,7 +28,7 @@ import (
 // returned run function executes one operation and reports the work units
 // it processed (dynamic instructions, or memory events for cpu_onmem).
 type Stage struct {
-	Name string // stable key in the phasemark/bench-hotpath/v2 schema
+	Name string // stable key in the phasemark/bench-hotpath/v3 schema
 	Desc string
 	Unit string // throughput metric name: "Minstr/s" or "Mevents/s"
 	New  func() (func() (uint64, error), error)
@@ -88,6 +88,12 @@ func StagesScaled(scale, workers int) []Stage {
 			Desc: "steady-state interpreter dispatch: applu (optimized) on its train input, machine reused via Reset, no observers",
 			Unit: "Minstr/s",
 			New:  newInterpDispatch,
+		},
+		{
+			Name: "profile",
+			Desc: "call-loop profiling: core.ProfileRun on gzip's train input, the walker numbering edges and the graph accumulating per-edge statistics over a full run",
+			Unit: "Minstr/s",
+			New:  newProfile,
 		},
 		{
 			Name: "detector_fire",
@@ -255,6 +261,27 @@ func newInterpDispatch() (func() (uint64, error), error) {
 			return 0, err
 		}
 		return m.Instructions(), nil
+	}, nil
+}
+
+func newProfile() (func() (uint64, error), error) {
+	prog, w, err := compiled("gzip", false)
+	if err != nil {
+		return nil, err
+	}
+	// Work unit: the run's dynamic instructions. ProfileRun returns only
+	// the graph, so count them once on a bare machine; observers never
+	// change what executes.
+	m := minivm.NewMachine(prog, nil)
+	if _, err := m.Run(w.Train...); err != nil {
+		return nil, err
+	}
+	instrs := m.Instructions()
+	return func() (uint64, error) {
+		if _, err := core.ProfileRun(prog, w.Train...); err != nil {
+			return 0, err
+		}
+		return instrs, nil
 	}, nil
 }
 

@@ -6,18 +6,18 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 // Schema identifies the BENCH_hotpath.json record layout. See
 // EXPERIMENTS.md for the field-by-field description (documented next to
-// phasemark/bench-obs/v1). v2 extends v1 with the analysis stages
-// (project, cluster); the record layout itself is unchanged, so v1 files
-// load and are upgraded in place on the next write.
-const Schema = "phasemark/bench-hotpath/v2"
-
-// schemaV1 is the pre-analysis-stage layout v2 supersedes.
-const schemaV1 = "phasemark/bench-hotpath/v1"
+// phasemark/bench-obs/v1). v2 extended v1 with the analysis stages
+// (project, cluster); v3 stamps every run with the machine and date it
+// was measured on. v1 and v2 runs load with an empty stamp, meaning
+// unattributed, and the file is upgraded in place on the next write.
+const Schema = "phasemark/bench-hotpath/v3"
 
 // Report is the committed hot-path performance record: one run per
 // labelled measurement (e.g. the seed implementation vs. the optimized
@@ -27,11 +27,41 @@ type Report struct {
 	Runs   []Run  `json:"runs"`
 }
 
-// Run is one labelled measurement of all stages.
+// Run is one labelled measurement of all stages. The stamp (NProc,
+// GOMAXPROCS, CPU, Date) names the machine and UTC date of the run's
+// latest measurement; it is empty on runs recorded before v3.
 type Run struct {
-	Label  string        `json:"label"`
-	Go     string        `json:"go"`
-	Stages []StageResult `json:"stages"`
+	Label      string        `json:"label"`
+	Go         string        `json:"go"`
+	NProc      int           `json:"nproc,omitempty"`
+	GOMAXPROCS int           `json:"gomaxprocs,omitempty"`
+	CPU        string        `json:"cpu,omitempty"`
+	Date       string        `json:"date,omitempty"`
+	Stages     []StageResult `json:"stages"`
+}
+
+// stamp fills the run's machine and date fields from the running process.
+func (r *Run) stamp() {
+	r.Go = runtime.Version()
+	r.NProc = runtime.NumCPU()
+	r.GOMAXPROCS = runtime.GOMAXPROCS(0)
+	r.CPU = cpuModel()
+	r.Date = time.Now().UTC().Format(time.RFC3339)
+}
+
+// cpuModel reads the first "model name" line of /proc/cpuinfo, or
+// "unknown" where there is none.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 // StageResult is one stage's measurement. Work units are dynamic
@@ -92,7 +122,8 @@ func Measure(label string, stages []Stage, w io.Writer) (Run, error) {
 	if stages == nil {
 		stages = Stages()
 	}
-	run := Run{Label: label, Go: runtime.Version()}
+	run := Run{Label: label}
+	run.stamp()
 	for _, st := range stages {
 		sr, err := MeasureStage(st)
 		if err != nil {
@@ -120,8 +151,9 @@ func LoadReport(path string) (*Report, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("hotbench: parsing %s: %w", path, err)
 	}
-	if r.Schema == schemaV1 {
-		r.Schema = Schema // v1 runs are a subset of v2; upgrade in place
+	switch r.Schema {
+	case "phasemark/bench-hotpath/v1", "phasemark/bench-hotpath/v2":
+		r.Schema = Schema // their runs are unattributed v3 runs; upgrade in place
 	}
 	if r.Schema != Schema {
 		return nil, fmt.Errorf("hotbench: %s has schema %q, want %q", path, r.Schema, Schema)
@@ -138,21 +170,23 @@ func (r *Report) SetRun(run Run) {
 		if r.Runs[i].Label != run.Label {
 			continue
 		}
-		old := &r.Runs[i]
-		old.Go = run.Go
+		stages := r.Runs[i].Stages
 		for _, sr := range run.Stages {
 			replaced := false
-			for j := range old.Stages {
-				if old.Stages[j].Name == sr.Name {
-					old.Stages[j] = sr
+			for j := range stages {
+				if stages[j].Name == sr.Name {
+					stages[j] = sr
 					replaced = true
 					break
 				}
 			}
 			if !replaced {
-				old.Stages = append(old.Stages, sr)
+				stages = append(stages, sr)
 			}
 		}
+		// The stamp and Go version follow the latest measurement.
+		r.Runs[i] = run
+		r.Runs[i].Stages = stages
 		return
 	}
 	r.Runs = append(r.Runs, run)

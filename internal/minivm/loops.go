@@ -175,8 +175,15 @@ func (t *LoopTracker) OnBlock(b *Block) {
 	}
 }
 
-// OnCall implements Observer.
+// OnCall implements Observer. A popped frame keeps its active-loop
+// backing array, so pushing one reuses it instead of allocating the first
+// time the callee enters a loop.
 func (t *LoopTracker) OnCall(site *Block, callee *Proc) {
+	if n := len(t.frames); n < cap(t.frames) {
+		t.frames = t.frames[:n+1]
+		t.frames[n].active = t.frames[n].active[:0]
+		return
+	}
 	t.frames = append(t.frames, loopFrame{})
 }
 
@@ -189,6 +196,6 @@ func (t *LoopTracker) OnReturn(callee *Proc) {
 	if len(t.frames) > 1 {
 		t.frames = t.frames[:len(t.frames)-1]
 	} else {
-		t.frames[0] = loopFrame{}
+		t.frames[0].active = t.frames[0].active[:0]
 	}
 }
