@@ -1,11 +1,17 @@
 package phasemark_test
 
 // The benchmark harness: one benchmark per table/figure of the paper's
-// evaluation (regenerating the same rows/series), plus microbenchmarks for
-// the analysis itself and ablation benchmarks for the design choices
-// DESIGN.md calls out. Run everything with:
+// evaluation (regenerating the same rows/series), ablation benchmarks for
+// the design choices DESIGN.md calls out, and the two §5.1 analysis-cost
+// comparisons (marker selection against SEQUITUR grammar inference). Run
+// everything with:
 //
 //	go test -bench=. -benchmem
+//
+// Per-stage timings of the analysis itself (interpretation, profiling,
+// marker detection, tracing, projection, clustering) are BenchmarkHotpath's
+// job (hotpath_bench_test.go, internal/hotbench); they are not duplicated
+// here.
 //
 // Figure benchmarks report their headline numbers as custom metrics so the
 // shape comparison (who wins, by what factor) is visible in benchmark
@@ -17,11 +23,9 @@ import (
 	"testing"
 
 	"phasemark"
-	"phasemark/internal/core"
 	"phasemark/internal/experiments"
 	"phasemark/internal/minivm"
 	"phasemark/internal/sequitur"
-	"phasemark/internal/trace"
 	"phasemark/internal/workloads"
 )
 
@@ -194,26 +198,6 @@ func BenchmarkMarkerSelection(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpreter measures raw execution speed of the minivm
-// substrate (no observers).
-func BenchmarkInterpreter(b *testing.B) {
-	w, err := workloads.ByName("applu")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := w.MustCompile(true)
-	b.ResetTimer()
-	var instrs uint64
-	for i := 0; i < b.N; i++ {
-		m := minivm.NewMachine(prog, nil)
-		if _, err := m.Run(w.Train...); err != nil {
-			b.Fatal(err)
-		}
-		instrs = m.Instructions()
-	}
-	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
 // ablationCoV measures the Fig-9 style per-phase CoV of CPI on the ref
 // input for a given selection variant, averaged over three representative
 // programs (one regular, one alternating, one irregular).
@@ -268,46 +252,6 @@ func BenchmarkAblationNoHeadBody(b *testing.B) {
 	b.ReportMetric(100*covNoHead, "covCPIpct/noHeads")
 	b.ReportMetric(float64(mBase), "markers/full")
 	b.ReportMetric(float64(mNoHead), "markers/noHeads")
-}
-
-// BenchmarkSegmentation measures marker detection overhead during
-// execution (the runtime cost of "inserted instrumentation").
-func BenchmarkSegmentation(b *testing.B) {
-	w, err := workloads.ByName("art")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := w.MustCompile(false)
-	g, err := phasemark.Profile(prog, w.Train...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	set := phasemark.Select(g, phasemark.SelectOptions{ILower: experiments.ILower})
-	cfg := trace.Config{Prog: prog, Args: w.Train, Markers: set, SkipBBV: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGraphConstruction isolates profiling's graph updates using a
-// recursive, loop-heavy program.
-func BenchmarkGraphConstruction(b *testing.B) {
-	w, err := workloads.ByName("gcc")
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog := w.MustCompile(false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := core.NewProfiler(prog)
-		m := minivm.NewMachine(prog, p)
-		if _, err := m.Run(w.Train...); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSequiturBaseline measures SEQUITUR grammar inference over a

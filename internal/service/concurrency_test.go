@@ -17,8 +17,9 @@ import (
 // computation or hits disk), with identical response bodies regardless of
 // worker count. Run under -race this is also the service's data-race
 // check. The request set is cheap by construction: distinct cluster seeds
-// and select ilowers share one memoized trace/graph, so cold uniqueness
-// costs microseconds, not re-tracing.
+// share one memoized trace and select ilowers one memoized graph, so each
+// further unique request costs a projection and clustering or a marker
+// selection, not another interpreter run.
 func TestConcurrentColdTrafficComputesEachArtifactOnce(t *testing.T) {
 	const workload = "galgel"
 

@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"phasemark/internal/core"
+	"phasemark/internal/obs"
 	"phasemark/internal/service"
 	"phasemark/internal/simpoint"
 	"phasemark/internal/store"
@@ -147,6 +149,32 @@ func TestEndToEndFlowMatchesInProcessPipeline(t *testing.T) {
 	}
 	if wsum < 0.999 || wsum > 1.001 {
 		t.Errorf("cluster weights sum to %v, want 1", wsum)
+	}
+}
+
+// TestOneTraceRunPerSegment pins that the interpreter runs once per
+// segment: on a fresh server, a segment request plus cluster requests for
+// three new seeds over the same segment cost exactly one trace.Run.
+func TestOneTraceRunPerSegment(t *testing.T) {
+	_, ts := newTestServer(t, service.Config{})
+	segment := `{"workload":"` + itWorkload + `","fixed_len":100000}`
+	reqs := []struct{ endpoint, body string }{{service.EndpointSegment, segment}}
+	for seed := 1; seed <= 3; seed++ {
+		reqs = append(reqs, struct{ endpoint, body string }{
+			service.EndpointCluster, fmt.Sprintf(`{"segment":%s,"seed":%d}`, segment, seed),
+		})
+	}
+
+	runs := obs.NewCounter("trace.runs")
+	before := runs.Load()
+	for _, r := range reqs {
+		code, body, cache := postJSON(t, ts.URL+r.endpoint, []byte(r.body))
+		if code != http.StatusOK || cache != "computed" {
+			t.Fatalf("%s %s: status %d cache %q: %s", r.endpoint, r.body, code, cache, body)
+		}
+	}
+	if got := runs.Load() - before; got != 1 {
+		t.Errorf("one segment and three cluster seeds cost %d trace runs, want 1", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"phasemark/internal/core"
 	"phasemark/internal/minivm"
@@ -155,10 +156,10 @@ func NewSelectResponse(req SelectRequest, set *core.MarkerSet) *SelectResponse {
 	return resp
 }
 
-// NewSegmentResponse builds the response for a canonical request from a
-// materialized traced execution. The service itself serves segment
-// responses from the streamed TraceArtifact (see Segment); this builder
-// is the materializing reference the byte-identity tests compare against.
+// NewSegmentResponse builds the response for a canonical request from its
+// traced execution. The service renders its memoized Pipeline.Trace
+// result with it; the byte-identity tests render a materializing
+// trace.Run with it and compare.
 func NewSegmentResponse(req SegmentRequest, res *trace.Result) *SegmentResponse {
 	resp := &SegmentResponse{
 		Schema:       SchemaSegment,
@@ -179,34 +180,26 @@ func NewSegmentResponse(req SegmentRequest, res *trace.Result) *SegmentResponse 
 	return resp
 }
 
-// NewClusterResponse builds the response for a canonical request from a
-// materialized traced execution and its clustering. Like
-// NewSegmentResponse it is the materializing reference: the service
-// builds cluster responses from the streamed ProjArtifact (see Cluster),
-// and the byte-identity tests pin the two paths together.
+// NewClusterResponse builds the response for a canonical request from its
+// traced execution and the simpoint.Classify clustering of it. The
+// byte-identity tests compose expected responses with it; the service
+// renders through the same code (clusterResponse), passing the points it
+// projected itself.
 func NewClusterResponse(req ClusterRequest, res *trace.Result, c *simpoint.Clustering) *ClusterResponse {
-	pts := simpoint.PickPoints(c, c.Points())
+	return clusterResponse(req, res, c, c.Points())
+}
+
+// clusterResponse builds the response for a clustering of res's intervals
+// projected to points.
+func clusterResponse(req ClusterRequest, res *trace.Result, c *simpoint.Clustering, points simpoint.Matrix) *ClusterResponse {
+	pts := simpoint.PickPoints(c, points)
 	est := simpoint.Evaluate(pts, res.Intervals, res.TrueCPI(), c.K)
-	return clusterResponse(req, c, len(res.Intervals), pts, est)
-}
-
-// newClusterResponseFromArtifact builds the response the service serves:
-// same clustering engine, fed from the streamed projection artifact.
-func newClusterResponseFromArtifact(req ClusterRequest, art *ProjArtifact, c *simpoint.Clustering) *ClusterResponse {
-	pts := simpoint.PickPoints(c, art.Pts)
-	est := evaluateArtifact(pts, art.Intervals, art.TrueCPI, c.K)
-	return clusterResponse(req, c, len(art.Intervals), pts, est)
-}
-
-// clusterResponse assembles the response struct shared by the reference
-// and artifact paths.
-func clusterResponse(req ClusterRequest, c *simpoint.Clustering, intervals int, pts []simpoint.Point, est simpoint.Estimate) *ClusterResponse {
 	resp := &ClusterResponse{
 		Schema:       SchemaCluster,
 		Request:      req,
 		K:            c.K,
 		BIC:          c.BIC,
-		Intervals:    intervals,
+		Intervals:    len(res.Intervals),
 		Weights:      c.Weights,
 		Assign:       c.Assign,
 		Points:       []PointInfo{},
@@ -251,41 +244,25 @@ type graphKey struct {
 	input    string
 }
 
-// projKey identifies a memoized projection artifact: the segment it
-// summarizes plus the projection parameters (cluster requests with the
-// same segment but different dims/seed need different matrices).
-type projKey struct {
-	segment store.Key
-	dims    int
-	seed    uint64
-}
-
 // Pipeline computes responses for canonical requests over the existing
 // pipeline packages, memoizing every expensive intermediate artifact with
 // singleflight semantics (store.Memo): compiled programs per workload,
 // profiled graphs per (workload, input), marker sets per select request,
-// and — instead of full traced executions — compact streaming artifacts:
-// per-interval summaries per segment request (TraceArtifact) and
-// projected point matrices per cluster parameterization (ProjArtifact).
-// Both are folded online from the tracer's chunked emission, so no
-// request ever materializes an O(trace) interval slice; working memory is
-// O(intervals) summaries plus O(intervals·dims) projections.
-// Clusterings are cheap relative to the artifacts they consume and are
-// not memoized — the response bytes themselves live in the artifact
-// store.
+// and traced executions per segment request. The traced execution is the
+// only interpreter run behind a segment: Segment renders it, and every
+// cluster request over it projects and clusters its BBVs afresh, which
+// costs a small fraction of the run. Projections and clusterings are not
+// memoized — the response bytes themselves live in the artifact store.
 //
-// Memory grows with the set of *distinct* artifacts requested over the
-// process lifetime, but each artifact is now the compact residue the
-// response needs, not the trace that produced it. Segment and cluster
-// requests each stream their own interpreter run (summaries-only vs
-// summaries+projection); repeated identical requests are served from the
-// content-addressed response store without recomputing anything.
+// Memory grows with the set of distinct segments requested over the
+// process lifetime: one *trace.Result each, whose sparse BBVs hold at
+// most the program's static block count of entries per interval.
 type Pipeline struct {
 	// Workers is the pipeline-parallel engine's worker count for the
-	// trace-driven stages (Trace, project): 0 keeps the serial streaming
-	// path; > 0 decouples trace production from chunk analysis
-	// (trace.Config.Workers). Either way the streamed artifacts — and
-	// therefore the response bytes — are bit-identical; only latency
+	// interpreter run behind Trace: 0 keeps the serial streaming path;
+	// > 0 decouples trace production from interval analysis
+	// (trace.Config.Workers). Either way the traced result — and
+	// therefore the response bytes — is bit-identical; only latency
 	// changes. Set before serving requests; it is not part of any cache
 	// key for exactly that reason.
 	Workers int
@@ -293,8 +270,7 @@ type Pipeline struct {
 	progs  store.Memo[string, *minivm.Program]
 	graphs store.Memo[graphKey, *core.Graph]
 	sets   store.Memo[store.Key, *core.MarkerSet]
-	traces store.Memo[store.Key, *TraceArtifact]
-	projs  store.Memo[projKey, *ProjArtifact]
+	traces store.Memo[store.Key, *trace.Result]
 }
 
 // stage wraps one memoized stage access in a request-scoped span tagged
@@ -360,12 +336,11 @@ func (p *Pipeline) Markers(ctx context.Context, req SelectRequest) (*core.Marker
 }
 
 // segConfig assembles the trace configuration for a canonical segment
-// request (shared by the summary and projection stages) and reports the
-// program's static block count for projection sizing.
-func (p *Pipeline) segConfig(ctx context.Context, req SegmentRequest) (trace.Config, int, error) {
+// request.
+func (p *Pipeline) segConfig(ctx context.Context, req SegmentRequest) (trace.Config, error) {
 	w, prog, err := p.prog(ctx, req.Workload)
 	if err != nil {
-		return trace.Config{}, 0, err
+		return trace.Config{}, err
 	}
 	cfg := trace.Config{Prog: prog, Args: w.Ref, CPU: uarch.DefaultConfig()}
 	if req.FixedLen > 0 {
@@ -373,72 +348,52 @@ func (p *Pipeline) segConfig(ctx context.Context, req SegmentRequest) (trace.Con
 	} else {
 		set, err := p.Markers(ctx, *req.Select)
 		if err != nil {
-			return trace.Config{}, 0, err
+			return trace.Config{}, err
 		}
 		cfg.Markers = set
 	}
-	return cfg, prog.NumBlocks, nil
+	return cfg, nil
 }
 
 // Trace runs (memoized) the segmented ref execution for a canonical
-// request, streaming it into a compact TraceArtifact: the tracer emits
-// interval chunks into a recycled arena, the sink folds them into
-// per-interval summaries, and BBV collection is skipped entirely — the
-// segment response doesn't need it, so neither trace nor vectors are
-// ever held in memory.
-func (p *Pipeline) Trace(ctx context.Context, req SegmentRequest) (*TraceArtifact, error) {
+// request, BBVs included. The run streams, so Workers applies, and the
+// sink keeps a deep copy of every interval: the tracer recycles the chunk
+// and its BBV storage once the sink returns.
+func (p *Pipeline) Trace(ctx context.Context, req SegmentRequest) (*trace.Result, error) {
 	return stage(ctx, &p.traces, SpanTrace, req.Workload, req.Key(),
-		func(cctx context.Context) (*TraceArtifact, error) {
-			cfg, _, err := p.segConfig(cctx, req)
+		func(cctx context.Context) (*trace.Result, error) {
+			cfg, err := p.segConfig(cctx, req)
 			if err != nil {
 				return nil, err
 			}
-			art := &TraceArtifact{}
-			cfg.SkipBBV = true
+			var ivs []*trace.Interval
 			cfg.Workers = p.Workers
 			obs.SpanFromContext(cctx).SetTag("workers", fmt.Sprint(p.Workers))
 			cfg.Sink = func(chunk []trace.Interval) error {
-				art.observe(chunk)
+				kept := slices.Clone(chunk)
+				for i := range kept {
+					iv := &kept[i]
+					iv.BBV.Idx = slices.Clone(iv.BBV.Idx)
+					iv.BBV.Val = slices.Clone(iv.BBV.Val)
+					ivs = append(ivs, iv)
+				}
 				return nil
 			}
 			res, err := trace.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", req.Workload, err)
 			}
-			art.finish(res)
-			return art, nil
+			res.Intervals = ivs
+			return res, nil
 		})
 }
 
-// project runs (memoized) the segmented execution for a cluster request,
-// streaming it into a ProjArtifact: the same chunked run as Trace, but
-// with BBVs collected per chunk and projected online into the point
-// matrix before the arena is recycled.
-func (p *Pipeline) project(ctx context.Context, req ClusterRequest) (*ProjArtifact, error) {
-	k := projKey{segment: req.Segment.Key(), dims: req.Dims, seed: req.Seed}
-	return stage(ctx, &p.projs, SpanProject, req.Segment.Workload, k,
-		func(cctx context.Context) (*ProjArtifact, error) {
-			cfg, numBlocks, err := p.segConfig(cctx, req.Segment)
-			if err != nil {
-				return nil, err
-			}
-			art := &ProjArtifact{}
-			proj := simpoint.NewStreamProjector(numBlocks, req.Dims, req.Seed)
-			cfg.Workers = p.Workers
-			obs.SpanFromContext(cctx).SetTag("workers", fmt.Sprint(p.Workers))
-			cfg.Sink = func(chunk []trace.Interval) error {
-				art.observe(chunk)
-				proj.ObserveChunk(chunk)
-				return nil
-			}
-			res, err := trace.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", req.Segment.Workload, err)
-			}
-			art.finish(res)
-			art.Pts, art.Weights = proj.Matrix()
-			return art, nil
-		})
+// computedSpan opens the span of an unmemoized stage, whose cache
+// outcome is always computed.
+func computedSpan(ctx context.Context, name, arg string) *obs.Span {
+	sp := obs.SpanFromContext(ctx).Child(name, arg)
+	sp.SetTag("cache", store.Computed.String())
+	return sp
 }
 
 // Profile computes the response bytes for a canonical profile request.
@@ -459,41 +414,30 @@ func (p *Pipeline) Select(ctx context.Context, req SelectRequest) ([]byte, error
 	return Encode(NewSelectResponse(req, set)), nil
 }
 
-// Segment computes the response bytes for a canonical segment request,
-// straight from the streamed artifact's summaries.
+// Segment computes the response bytes for a canonical segment request
+// from the memoized traced execution.
 func (p *Pipeline) Segment(ctx context.Context, req SegmentRequest) ([]byte, error) {
-	art, err := p.Trace(ctx, req)
+	res, err := p.Trace(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	resp := &SegmentResponse{
-		Schema:       SchemaSegment,
-		Request:      req,
-		Instructions: art.Instructions,
-		MarkerFires:  art.MarkerFires,
-		TrueCPI:      art.TrueCPI,
-		Intervals:    art.Intervals,
-	}
-	if resp.Intervals == nil {
-		resp.Intervals = []IntervalInfo{}
-	}
-	return Encode(resp), nil
+	return Encode(NewSegmentResponse(req, res)), nil
 }
 
-// Cluster computes the response bytes for a canonical cluster request by
-// clustering the streamed projection artifact — the same engine
-// simpoint.Classify runs, fed a bit-identical matrix, so the bytes match
-// the materializing reference path. Clustering itself is not memoized
-// (it is cheap next to the artifact it consumes), so its span is always
-// cache=computed.
+// Cluster computes the response bytes for a canonical cluster request:
+// it projects and clusters the memoized traced execution's intervals the
+// way simpoint.Classify does, so the bytes match the reference path.
+// Neither step is memoized, so their spans are always cache=computed.
 func (p *Pipeline) Cluster(ctx context.Context, req ClusterRequest) ([]byte, error) {
-	art, err := p.project(ctx, req)
+	res, err := p.Trace(ctx, req.Segment)
 	if err != nil {
 		return nil, err
 	}
-	sp := obs.SpanFromContext(ctx).Child(SpanCluster, req.Segment.Workload)
-	sp.SetTag("cache", store.Computed.String())
-	c := simpoint.Cluster(art.Pts, art.Weights, ClusterOptions(req))
+	sp := computedSpan(ctx, SpanProject, req.Segment.Workload)
+	pts, weights := simpoint.ProjectIntervals(res.Intervals, res.NumBlocks, req.Dims, req.Seed)
 	sp.End()
-	return Encode(newClusterResponseFromArtifact(req, art, c)), nil
+	sp = computedSpan(ctx, SpanCluster, req.Segment.Workload)
+	c := simpoint.Cluster(pts, weights, ClusterOptions(req))
+	sp.End()
+	return Encode(clusterResponse(req, res, c, pts)), nil
 }

@@ -41,7 +41,7 @@ type Config struct {
 	// 4×Workers). Work beyond Workers+Queue is rejected with 429.
 	Queue int
 	// TraceWorkers is the pipeline-parallel engine's worker count for
-	// trace-driven stages within a single request (Pipeline.Workers):
+	// the one interpreter run behind each segment (Pipeline.Workers):
 	// 0 keeps the serial streaming path. Independent of Workers, which
 	// bounds cross-request concurrency.
 	TraceWorkers int

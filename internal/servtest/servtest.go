@@ -9,8 +9,10 @@
 // warm (a medium pool: computes early, hits once touched), and cold
 // (never-repeated requests: always a compute) — mixed per the scenario's
 // Mix ratios. Cold traffic is built from the cheap request families
-// (cluster seed sweeps, select ilower sweeps) so uniqueness costs
-// milliseconds against memoized traces, not a fresh trace per request.
+// (cluster seed sweeps, select ilower sweeps): the server traces the
+// shared segment once and profiles the shared input once, so each unique
+// request costs a projection and clustering or a marker selection, not
+// an interpreter run.
 package servtest
 
 import (
