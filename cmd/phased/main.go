@@ -54,9 +54,8 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "serve: listen address")
 		storeDir     = flag.String("store", ".phased-store", "artifact store directory")
-		workers      = flag.Int("workers", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "max concurrently executing requests (0 = GOMAXPROCS); each request's trace gets GOMAXPROCS/workers goroutines (at least 1)")
 		queue        = flag.Int("queue", 0, "max requests queued for a slot (0 = 4x workers)")
-		traceWorkers = flag.Int("trace-workers", 0, "pipeline-parallel worker count inside each trace-driven request (0 = serial streaming; responses are bit-identical either way)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "serve: max wait for in-flight requests on shutdown")
 		accessLog    = flag.Bool("log", false, "serve: emit a structured (JSON) access log line per request to stderr")
 		version      = flag.Bool("version", false, "print build information and exit")
@@ -74,34 +73,28 @@ func main() {
 		fmt.Println(service.Build().String())
 		os.Exit(0)
 	}
-	if *traceWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "phased: -trace-workers must be >= 0, got %d\n", *traceWorkers)
-		flag.Usage()
-		os.Exit(2)
-	}
 	if *stress {
 		os.Exit(runStress(stressConfig{
-			out:          *stressOut,
-			label:        *stressLabel,
-			requests:     *stressRequests,
-			workload:     *stressWorkload,
-			seed:         *stressSeed,
-			workers:      *workers,
-			queue:        *queue,
-			traceWorkers: *traceWorkers,
+			out:      *stressOut,
+			label:    *stressLabel,
+			requests: *stressRequests,
+			workload: *stressWorkload,
+			seed:     *stressSeed,
+			workers:  *workers,
+			queue:    *queue,
 		}))
 	}
-	os.Exit(serve(*addr, *storeDir, *workers, *queue, *traceWorkers, *drainTimeout, *accessLog))
+	os.Exit(serve(*addr, *storeDir, *workers, *queue, *drainTimeout, *accessLog))
 }
 
 // serve runs the service until SIGINT/SIGTERM, then drains gracefully.
-func serve(addr, dir string, workers, queue, traceWorkers int, drainTimeout time.Duration, accessLog bool) int {
+func serve(addr, dir string, workers, queue int, drainTimeout time.Duration, accessLog bool) int {
 	st, err := store.Open(dir)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "phased: %v\n", err)
 		return 1
 	}
-	cfg := service.Config{Store: st, Workers: workers, Queue: queue, TraceWorkers: traceWorkers}
+	cfg := service.Config{Store: st, Workers: workers, Queue: queue}
 	if accessLog {
 		cfg.AccessLog = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
@@ -138,14 +131,13 @@ func serve(addr, dir string, workers, queue, traceWorkers int, drainTimeout time
 }
 
 type stressConfig struct {
-	out          string
-	label        string
-	requests     int
-	workload     string
-	seed         uint64
-	workers      int
-	queue        int
-	traceWorkers int
+	out      string
+	label    string
+	requests int
+	workload string
+	seed     uint64
+	workers  int
+	queue    int
 }
 
 // startServer boots a service over dir on an ephemeral port, returning
@@ -215,7 +207,7 @@ func runStress(cfg stressConfig) int {
 	fmt.Fprintf(os.Stderr, "phased stress: workload %s, base %d requests, %d workers / %d queue, concurrency %d\n",
 		cfg.workload, n, workers, queue, concurrency)
 
-	srv, baseURL, stop, err := startServer(dir, service.Config{Workers: workers, Queue: queue, TraceWorkers: cfg.traceWorkers})
+	srv, baseURL, stop, err := startServer(dir, service.Config{Workers: workers, Queue: queue})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "phased: %v\n", err)
 		return 1
@@ -238,7 +230,7 @@ func runStress(cfg stressConfig) int {
 	// Restart: a fresh process image (new server, cold memos) over the
 	// same store directory replays the hot traffic; everything must come
 	// off disk without a single recompute.
-	srv2, baseURL2, stop2, err := startServer(dir, service.Config{Workers: workers, Queue: queue, TraceWorkers: cfg.traceWorkers})
+	srv2, baseURL2, stop2, err := startServer(dir, service.Config{Workers: workers, Queue: queue})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "phased: %v\n", err)
 		return 1

@@ -15,14 +15,13 @@ import (
 // comma-separated subset of stages (empty = all); naming a stage that
 // does not exist is a usage error (exit 2), matching the -fig
 // convention. scale is the trace amplifier applied to the streaming
-// stages and workers the pipeline-parallel stage's worker count (see
-// hotbench.StagesScaled); main validates both before calling. An
-// existing run with the same label
-// is updated stage-wise; other runs and unmeasured stages are preserved,
-// so the file accumulates the before/after history of performance work.
-// Progress and per-stage results go to stderr; stdout is untouched.
-func runBench(outPath, label, stageFilter string, scale, workers int) error {
-	stages := hotbench.StagesScaled(scale, workers)
+// stages (see hotbench.StagesScaled); main validates it before calling.
+// An existing run with the same label is updated stage-wise; other runs
+// and unmeasured stages are preserved, so the file accumulates the
+// before/after history of performance work. Progress and per-stage
+// results go to stderr; stdout is untouched.
+func runBench(outPath, label, stageFilter string, scale int) error {
+	stages := hotbench.StagesScaled(scale)
 	if stageFilter != "" {
 		var names []string
 		for _, n := range strings.Split(stageFilter, ",") {
@@ -31,7 +30,7 @@ func runBench(outPath, label, stageFilter string, scale, workers int) error {
 			}
 		}
 		var err error
-		stages, err = hotbench.StagesNamed(names, scale, workers)
+		stages, err = hotbench.StagesNamed(names, scale)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spexp: %v\n", err)
 			os.Exit(2)

@@ -33,12 +33,15 @@
 // Figure 5 covers the paper's Figures 5 and 6 (one comparison), and
 // Figures 7/8/9 share their underlying runs, as do 11/12.
 //
-// Workloads are evaluated in parallel on -j workers (default GOMAXPROCS);
-// tables are assembled in deterministic workload order, so stdout is
-// byte-identical at any -j. The only exception is the §5.1 analysis-cost
-// table, whose cells are wall-clock measurements. Per-figure timing lines
-// go to stderr so stdout stays diffable — all observability output
-// likewise goes to stderr or to the files named by flags, never stdout.
+// Workloads are evaluated in parallel on -j workers (default GOMAXPROCS),
+// and each workload's traces get its share of the machine, GOMAXPROCS/j
+// goroutines: the serial path at the default -j, the pipeline-parallel
+// engine below it. Tables are assembled in deterministic workload order,
+// so stdout is byte-identical at any -j. The only exception is the §5.1
+// analysis-cost table, whose cells are wall-clock measurements.
+// Per-figure timing lines go to stderr so stdout stays diffable — all
+// observability output likewise goes to stderr or to the files named by
+// flags, never stdout.
 //
 // Naming a figure that does not exist is an error (exit 2), not a silent
 // no-op; the same convention covers -bench-stages stage names and
@@ -69,8 +72,7 @@ func main() {
 	benchLabel := flag.String("bench-label", "local", "with -bench: label for this measurement run (an existing run with the same label is updated stage-wise)")
 	benchStages := flag.String("bench-stages", "", "with -bench: comma-separated stage subset to measure (default all; unknown names exit 2)")
 	benchScale := flag.Int("scale", 1, "with -bench: trace amplifier for the streaming stages — the workload executes N times as one long trace (memory stays bounded; see pipeline_e2e_stream); must be >= 1")
-	benchWorkers := flag.Int("workers", 0, "with -bench: worker count for the pipeline-parallel streaming stage (pipeline_e2e_stream_par); 0 = GOMAXPROCS, negative is a usage error")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "workloads to evaluate in parallel")
+	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "workloads to evaluate in parallel; each workload's traces get GOMAXPROCS/j goroutines (at least 1)")
 	metricsOut := flag.String("metrics", "", "write a metrics snapshot (counters, histograms, per-stage durations) to this JSON file, plus BENCH_obs.json with per-stage totals")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of every pipeline stage span")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while figures run")
@@ -88,22 +90,17 @@ func main() {
 		obs.SetTraceCapture(true)
 	}
 
-	// Shared knob validation: a -scale below 1 or a negative -workers is a
-	// usage error (exit 2, like unknown figure or stage names) — never a
-	// silent clamp that would mislabel what a benchmark actually measured.
+	// A -scale below 1 is a usage error (exit 2, like unknown figure or
+	// stage names) — never a silent clamp that would mislabel what a
+	// benchmark actually measured.
 	if *benchScale < 1 {
 		fmt.Fprintf(os.Stderr, "spexp: -scale must be >= 1, got %d\n", *benchScale)
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *benchWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "spexp: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *benchWorkers)
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	if *benchRun {
-		if err := runBench(*benchOut, *benchLabel, *benchStages, *benchScale, *benchWorkers); err != nil {
+		if err := runBench(*benchOut, *benchLabel, *benchStages, *benchScale); err != nil {
 			fmt.Fprintf(os.Stderr, "spexp: %v\n", err)
 			os.Exit(1)
 		}

@@ -100,14 +100,15 @@ func Segmentation(res *trace.Result, numMarkers int) error {
 }
 
 // Streaming verifies the streaming/materializing equivalence claim: a
-// chunked, arena-recycling trace.Run over cfg must reproduce the
-// materialized reference bit-for-bit — every interval (bounds, phase,
-// performance counters, BBV), the run totals, and the online per-chunk
-// projection (simpoint.StreamProjector) against the batch projection of
-// the same intervals. The comparison is incremental — each chunk is
-// checked and released — so the check itself stays memory-bounded on the
-// streaming side. cfg must be the configuration want was produced with
-// (any Sink/ChunkSize in it is replaced).
+// chunked, arena-recycling trace.Run over cfg on the serial path
+// (Workers 1) must reproduce the materialized reference bit-for-bit —
+// every interval (bounds, phase, performance counters, BBV), the run
+// totals, and the online per-chunk projection (simpoint.StreamProjector)
+// against the batch projection of the same intervals. The comparison is
+// incremental — each chunk is checked and released — so the check itself
+// stays memory-bounded on the streaming side. cfg must be the
+// configuration want was produced with (any Sink/ChunkSize/Workers in it
+// is replaced).
 func Streaming(cfg trace.Config, want *trace.Result) error {
 	if want == nil {
 		return fmt.Errorf("streaming: nil reference result")
@@ -116,6 +117,7 @@ func Streaming(cfg trace.Config, want *trace.Result) error {
 	proj := simpoint.NewStreamProjector(want.NumBlocks, dims, seed)
 	next := 0
 	cfg.ChunkSize = 64
+	cfg.Workers = 1
 	cfg.Sink = func(chunk []trace.Interval) error {
 		n, err := compareStreamed(chunk, want.Intervals, next)
 		if err != nil {
@@ -189,12 +191,12 @@ func compareStreamed(chunk []trace.Interval, want []*trace.Interval, next int) (
 }
 
 // StreamingParallel verifies the pipeline-parallel engine's bit-identity
-// claim: a trace.Run with Workers set (the record/replay split at scale 1)
+// claim: a trace.Run on the engine (the record/replay split at scale 1)
 // must reproduce the materialized reference interval-for-interval AND,
 // with the streamed chunks folded into the analysis consumers
 // (StreamProjector, StreamKMeans, CoVAccumulator), leave every
 // accumulator in a bit-identical state to the serial fold of the same
-// reference, at workers 1, 4, and 16. cfg must be the configuration want
+// reference, at workers 2, 4, and 16. cfg must be the configuration want
 // was produced with (any Sink/ChunkSize/Workers in it is replaced).
 func StreamingParallel(cfg trace.Config, want *trace.Result) error {
 	if want == nil {
@@ -218,7 +220,7 @@ func StreamingParallel(cfg trace.Config, want *trace.Result) error {
 	refRes := refKM.Finish()
 	refCovRes := refCov.Result()
 
-	for _, workers := range []int{1, 4, 16} {
+	for _, workers := range []int{2, 4, 16} {
 		c := cfg
 		c.ChunkSize = 64
 		c.Workers = workers

@@ -85,7 +85,7 @@ func (s *Suite) checkWorkload(w *workloads.Workload) ([]namedCheck, error) {
 
 	// (g) Pipeline-parallel equivalence: the Workers engine (record/replay
 	// decoupling plus parallel chunk consumers) must reproduce the same
-	// references bit-for-bit at workers 1, 4, and 16 — intervals,
+	// references bit-for-bit at workers 2, 4, and 16 — intervals,
 	// projections, streamed clustering, and CoV — in both cutting modes.
 	add("stream-par/fixed", check.StreamingParallel(cfgF, resFixed))
 	add("stream-par/vli", check.StreamingParallel(cfgV, resLimit))

@@ -8,6 +8,7 @@ import (
 	"phasemark/internal/crossbin"
 	"phasemark/internal/lang"
 	"phasemark/internal/minivm"
+	"phasemark/internal/trace"
 	"phasemark/internal/uarch"
 	"phasemark/internal/workloads"
 )
@@ -32,65 +33,42 @@ func timeVarying(prog *minivm.Program, args []int64, set *core.MarkerSet, slice 
 			id int
 		}{at, marker})
 	})
+	// Each slice's point is its counter delta at the cut; empty slices
+	// record none.
 	cpu := uarch.NewCPU(uarch.DefaultConfig(), prog)
-	col := &tvCollector{cpu: cpu, slice: slice}
-	m := minivm.NewMachine(prog, minivm.MultiObserver{det, cpu, col})
+	var points []tvPoint
+	var prev uarch.Counters
+	cut := func(at uint64) {
+		now := cpu.Counters()
+		d := now.Sub(prev)
+		prev = now
+		if d.Instrs > 0 {
+			points = append(points, tvPoint{Instr: at, CPI: d.CPI(), DL1Miss: d.L1MissRate()})
+		}
+	}
+	m := minivm.NewMachine(prog, minivm.MultiObserver{det, cpu, trace.NewFixedCutter(slice, cut)})
 	if _, err := m.Run(args...); err != nil {
 		return nil, err
 	}
-	col.flush()
+	cut(m.Instructions())
 	// Attach the first marker firing that lands in each slice.
 	fi := 0
-	for i := range col.points {
-		col.points[i].Marker = -1
-		end := col.points[i].Instr
+	for i := range points {
+		points[i].Marker = -1
+		end := points[i].Instr
 		start := end - slice
 		for fi < len(fires) && fires[fi].at < start {
 			fi++
 		}
 		if fi < len(fires) && fires[fi].at < end {
-			col.points[i].Marker = fires[fi].id
+			points[i].Marker = fires[fi].id
 			fi++
 			for fi < len(fires) && fires[fi].at < end {
 				fi++ // only the first marker per slice is plotted
 			}
 		}
 	}
-	return col.points, nil
-}
-
-type tvCollector struct {
-	minivm.NopObserver
-	cpu    *uarch.CPU
-	slice  uint64
-	instrs uint64
-	next   uint64
-	prev   uarch.Counters
-	points []tvPoint
-}
-
-// ObservedEvents implements minivm.EventMasker.
-func (c *tvCollector) ObservedEvents() minivm.EventMask { return minivm.EvBlock }
-
-func (c *tvCollector) OnBlock(b *minivm.Block) {
-	if c.next == 0 {
-		c.next = c.slice
-	}
-	if c.instrs >= c.next {
-		c.flush()
-		c.next += c.slice
-	}
-	c.instrs += uint64(b.Weight())
-}
-
-func (c *tvCollector) flush() {
-	now := c.cpu.Counters()
-	d := now.Sub(c.prev)
-	c.prev = now
-	if d.Instrs == 0 {
-		return
-	}
-	c.points = append(c.points, tvPoint{Instr: c.instrs, CPI: d.CPI(), DL1Miss: d.L1MissRate()})
+	return points, nil
 }
 
 func tvTable(title, note string, pts []tvPoint) *Table {

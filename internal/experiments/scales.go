@@ -51,6 +51,7 @@ func (s *Suite) Scales() (*Table, error) {
 				CPU:     uarch.DefaultConfig(),
 				Markers: set,
 				SkipBBV: true,
+				Workers: d.traceWorkers,
 			})
 			if err != nil {
 				return err

@@ -7,6 +7,7 @@ import (
 	"phasemark/internal/core"
 	"phasemark/internal/minivm"
 	"phasemark/internal/obs"
+	"phasemark/internal/par"
 	"phasemark/internal/simpoint"
 	"phasemark/internal/trace"
 	"phasemark/internal/uarch"
@@ -61,6 +62,11 @@ func (s *Suite) Parallelism() int {
 type wdata struct {
 	w    *workloads.Workload
 	prog *minivm.Program
+	// traceWorkers is the trace.Config.Workers of the workload's traces:
+	// its share of the machine among the Parallelism() workloads
+	// evaluated at once (par.Share), so the pool's default width traces
+	// serially and -j 1 runs the pipeline-parallel engine.
+	traceWorkers int
 
 	graphs   cellMap[bool, *core.Graph] // keyed by isRef
 	sets     cellMap[string, *core.MarkerSet]
@@ -80,7 +86,7 @@ func (s *Suite) wd(w *workloads.Workload) (*wdata, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &wdata{w: w, prog: prog}, nil
+		return &wdata{w: w, prog: prog, traceWorkers: par.Share(s.Parallelism())}, nil
 	})
 }
 
@@ -160,9 +166,10 @@ func (d *wdata) markerSet(name string) (*core.MarkerSet, error) {
 func (d *wdata) traced(mode string) (*trace.Result, error) {
 	return d.traces.get(mode, func() (*trace.Result, error) {
 		cfg := trace.Config{
-			Prog: d.prog,
-			Args: d.w.Ref,
-			CPU:  uarch.DefaultConfig(),
+			Prog:    d.prog,
+			Args:    d.w.Ref,
+			CPU:     uarch.DefaultConfig(),
+			Workers: d.traceWorkers,
 		}
 		var n uint64
 		if _, err := fmt.Sscanf(mode, "fixed:%d", &n); err == nil {

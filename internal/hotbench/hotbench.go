@@ -12,7 +12,6 @@ package hotbench
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 
 	"phasemark/internal/core"
@@ -58,9 +57,8 @@ const (
 // the pipeline_e2e_stream stage.
 const streamK = 8
 
-// Stages returns the hot-path stages in reporting order at scale 1 with
-// the default worker count.
-func Stages() []Stage { return StagesScaled(1, 0) }
+// Stages returns the hot-path stages in reporting order at scale 1.
+func Stages() []Stage { return StagesScaled(1) }
 
 // StagesScaled returns the stages with the trace amplifier applied to the
 // streaming stages: pipeline_e2e_stream and pipeline_e2e_stream_par
@@ -70,17 +68,16 @@ func Stages() []Stage { return StagesScaled(1, 0) }
 // intentionally left at scale 1 — their memory grows with the trace,
 // which is the point of the comparison.
 //
-// workers sets the pipeline-parallel stage's worker count; workers <= 0
-// selects GOMAXPROCS. scale must be >= 1 — the CLI rejects anything else
+// Every tracing stage but pipeline_e2e_stream_par pins the serial path
+// (trace.Config.Workers 1), so its history stays comparable across
+// commits and machines; pipeline_e2e_stream_par runs trace's default,
+// GOMAXPROCS workers. scale must be >= 1 — the CLI rejects anything else
 // with exit 2 before reaching here, and this package refuses to clamp
 // silently: a benchmark labeled ×0 that silently ran ×1 would poison
 // cross-commit comparisons.
-func StagesScaled(scale, workers int) []Stage {
+func StagesScaled(scale int) []Stage {
 	if scale < 1 {
 		panic(fmt.Sprintf("hotbench: scale must be >= 1, got %d (the CLI validates -scale)", scale))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
 	}
 	return []Stage{
 		{
@@ -135,13 +132,13 @@ func StagesScaled(scale, workers int) []Stage {
 			Name: "pipeline_e2e_stream",
 			Desc: fmt.Sprintf("streaming bounded-memory pipeline: profile -> select -> chunked marker-cut trace feeding online projection, mini-batch k-means, and single-pass CoV, gzip train ×%d", scale),
 			Unit: "Minstr/s",
-			New:  newPipelineE2EStream(scale, 0),
+			New:  newPipelineE2EStream("pipeline_e2e_stream", scale, 1),
 		},
 		{
 			Name: "pipeline_e2e_stream_par",
-			Desc: fmt.Sprintf("pipeline_e2e_stream on the pipeline-parallel engine: trace production overlapped with chunk analysis (projection, mini-batch k-means, CoV) and amplified repetitions fanned over workers, gzip train ×%d, %d workers — bit-identical to the serial stream", scale, workers),
+			Desc: fmt.Sprintf("pipeline_e2e_stream on the pipeline-parallel engine: trace production overlapped with chunk analysis (projection, mini-batch k-means, CoV) and amplified repetitions fanned over workers, gzip train ×%d, GOMAXPROCS workers — bit-identical to the serial stream", scale),
 			Unit: "Minstr/s",
-			New:  newPipelineE2EStream(scale, workers),
+			New:  newPipelineE2EStream("pipeline_e2e_stream_par", scale, 0),
 		},
 		{
 			Name: "project",
@@ -159,11 +156,10 @@ func StagesScaled(scale, workers int) []Stage {
 }
 
 // StagesNamed resolves a list of stage names (in suite order, at the
-// given trace scale and worker count) or reports the unknown ones
-// alongside the valid set, mirroring the CLI convention for unknown
-// figure names.
-func StagesNamed(names []string, scale, workers int) ([]Stage, error) {
-	all := StagesScaled(scale, workers)
+// given trace scale) or reports the unknown ones alongside the valid
+// set, mirroring the CLI convention for unknown figure names.
+func StagesNamed(names []string, scale int) ([]Stage, error) {
+	all := StagesScaled(scale)
 	known := make(map[string]Stage, len(all))
 	order := make([]string, 0, len(all))
 	for _, st := range all {
@@ -382,7 +378,7 @@ func newTraceFixed() (func() (uint64, error), error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := trace.Config{Prog: prog, Args: w.Train, CPU: uarch.DefaultConfig(), FixedLen: fixedLen}
+	cfg := trace.Config{Prog: prog, Args: w.Train, CPU: uarch.DefaultConfig(), FixedLen: fixedLen, Workers: 1}
 	return func() (uint64, error) {
 		r, err := trace.Run(cfg)
 		if err != nil {
@@ -401,7 +397,7 @@ func newTraceMarker() (func() (uint64, error), error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := trace.Config{Prog: prog, Args: w.Train, CPU: uarch.DefaultConfig(), Markers: set}
+	cfg := trace.Config{Prog: prog, Args: w.Train, CPU: uarch.DefaultConfig(), Markers: set, Workers: 1}
 	return func() (uint64, error) {
 		r, err := trace.Run(cfg)
 		if err != nil {
@@ -449,7 +445,7 @@ func newPipelineE2E() (func() (uint64, error), error) {
 		if err != nil {
 			return 0, err
 		}
-		r, err := trace.Run(trace.Config{Prog: prog, Args: w.Train, CPU: ucfg, Markers: set})
+		r, err := trace.Run(trace.Config{Prog: prog, Args: w.Train, CPU: ucfg, Markers: set, Workers: 1})
 		if err != nil {
 			return 0, err
 		}
@@ -461,16 +457,11 @@ func newPipelineE2E() (func() (uint64, error), error) {
 // profile → select → marker-cut trace, but streamed — interval chunks
 // flow through the online projector, the mini-batch clusterer, and the
 // single-pass CoV accumulator, and are recycled; nothing O(trace) is ever
-// resident. scale amplifies the traced execution (trace.Config.Scale).
-// workers > 0 runs the trace on the pipeline-parallel engine
-// (trace.Config.Workers) as pipeline_e2e_stream_par; the sink sees the
-// same intervals in the same order either way, so only the wall clock
-// moves.
-func newPipelineE2EStream(scale, workers int) func() (func() (uint64, error), error) {
-	name := "pipeline_e2e_stream"
-	if workers > 0 {
-		name += "_par"
-	}
+// resident. scale amplifies the traced execution (trace.Config.Scale)
+// and workers is its trace.Config.Workers; the sink sees the same
+// intervals in the same order at any worker count, so only the wall
+// clock moves.
+func newPipelineE2EStream(name string, scale, workers int) func() (func() (uint64, error), error) {
 	return func() (func() (uint64, error), error) {
 		prog, w, err := compiled("gzip", false)
 		if err != nil {

@@ -3,9 +3,22 @@
 // the experiment suite's workload pool and the clustering engine's
 // (k, restart) run fan. Callers that need per-worker scratch key it by
 // the worker id; callers that need queueing telemetry pass an Obs.
+// Share sizes the parallelism of work nested inside such a fan-out.
 package par
 
-import "time"
+import (
+	"runtime"
+	"time"
+)
+
+// Share reports how many goroutines each of n tasks running side by side
+// may use: GOMAXPROCS split n ways, at least 1 (n < 1 counts as 1). A
+// caller that already runs n things at once hands each one its share
+// (a trace.Config.Workers, say) instead of the whole machine, so a pool
+// that fills every CPU runs its tasks serially inside.
+func Share(n int) int {
+	return max(1, runtime.GOMAXPROCS(0)/max(n, 1))
+}
 
 // Obs receives scheduling telemetry: QueueWait is how long a dispatched
 // item waited before a worker picked it up, Exec is how long the item's

@@ -72,6 +72,15 @@ func TestForEachClampsWorkersToN(t *testing.T) {
 	})
 }
 
+func TestShare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, c := range []struct{ n, want int }{{-1, 4}, {0, 4}, {1, 4}, {2, 2}, {3, 1}, {4, 1}, {16, 1}} {
+		if got := Share(c.n); got != c.want {
+			t.Errorf("Share(%d) at GOMAXPROCS 4 = %d, want %d", c.n, got, c.want)
+		}
+	}
+}
+
 func TestForEachObs(t *testing.T) {
 	var execs, waits atomic.Int32
 	obs := &Obs{

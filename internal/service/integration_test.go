@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -466,12 +467,13 @@ func TestMinimizeDistinguishesKeysAndShrinksSelection(t *testing.T) {
 }
 
 // TestTraceWorkersByteIdenticalResponses pins the service half of the
-// pipeline-parallel determinism contract: a server running the
-// trace-driven stages on the parallel engine (Config.TraceWorkers > 0)
-// must serve byte-for-byte the same segment and cluster responses as a
-// serial server over the same requests — the engine changes latency,
-// never bytes.
+// pipeline-parallel determinism contract: a server whose traces run on
+// the parallel engine (one request at a time on 4 CPUs, so each trace's
+// share is 4) must serve byte-for-byte the same segment and cluster
+// responses as the default server, whose share is 1, the serial path —
+// the engine changes latency, never bytes.
 func TestTraceWorkersByteIdenticalResponses(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	selectReq, err := service.SelectRequest{
 		Workload: itWorkload,
 		Options:  service.SelectSpec{ILower: 100_000, MaxLimit: 2_000_000},
@@ -496,7 +498,7 @@ func TestTraceWorkersByteIdenticalResponses(t *testing.T) {
 	}
 
 	_, serial := newTestServer(t, service.Config{})
-	_, parallel := newTestServer(t, service.Config{TraceWorkers: 4})
+	_, parallel := newTestServer(t, service.Config{Workers: 1})
 	for _, step := range steps {
 		code, want, _ := postJSON(t, serial.URL+step.endpoint, step.body)
 		if code != http.StatusOK {
@@ -504,7 +506,7 @@ func TestTraceWorkersByteIdenticalResponses(t *testing.T) {
 		}
 		code, got, _ := postJSON(t, parallel.URL+step.endpoint, step.body)
 		if code != http.StatusOK {
-			t.Fatalf("%s (trace-workers=4): status %d: %s", step.endpoint, code, got)
+			t.Fatalf("%s (engine): status %d: %s", step.endpoint, code, got)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: parallel-engine response differs from serial\n got: %.300s\nwant: %.300s",

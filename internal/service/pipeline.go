@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"phasemark/internal/core"
 	"phasemark/internal/minivm"
@@ -258,14 +257,12 @@ type graphKey struct {
 // process lifetime: one *trace.Result each, whose sparse BBVs hold at
 // most the program's static block count of entries per interval.
 type Pipeline struct {
-	// Workers is the pipeline-parallel engine's worker count for the
-	// interpreter run behind Trace: 0 keeps the serial streaming path;
-	// > 0 decouples trace production from interval analysis
-	// (trace.Config.Workers). Either way the traced result — and
-	// therefore the response bytes — is bit-identical; only latency
-	// changes. Set before serving requests; it is not part of any cache
-	// key for exactly that reason.
-	Workers int
+	// traceWorkers is the trace.Config.Workers of the interpreter run
+	// behind Trace: New sets the share of the machine each of the gate's
+	// concurrently executing requests gets (par.Share); the zero value
+	// is trace's default, the whole machine. The traced result, and so
+	// every response byte, is the same at any value.
+	traceWorkers int
 
 	progs  store.Memo[string, *minivm.Program]
 	graphs store.Memo[graphKey, *core.Graph]
@@ -356,9 +353,7 @@ func (p *Pipeline) segConfig(ctx context.Context, req SegmentRequest) (trace.Con
 }
 
 // Trace runs (memoized) the segmented ref execution for a canonical
-// request, BBVs included. The run streams, so Workers applies, and the
-// sink keeps a deep copy of every interval: the tracer recycles the chunk
-// and its BBV storage once the sink returns.
+// request, BBVs included.
 func (p *Pipeline) Trace(ctx context.Context, req SegmentRequest) (*trace.Result, error) {
 	return stage(ctx, &p.traces, SpanTrace, req.Workload, req.Key(),
 		func(cctx context.Context) (*trace.Result, error) {
@@ -366,24 +361,11 @@ func (p *Pipeline) Trace(ctx context.Context, req SegmentRequest) (*trace.Result
 			if err != nil {
 				return nil, err
 			}
-			var ivs []*trace.Interval
-			cfg.Workers = p.Workers
-			obs.SpanFromContext(cctx).SetTag("workers", fmt.Sprint(p.Workers))
-			cfg.Sink = func(chunk []trace.Interval) error {
-				kept := slices.Clone(chunk)
-				for i := range kept {
-					iv := &kept[i]
-					iv.BBV.Idx = slices.Clone(iv.BBV.Idx)
-					iv.BBV.Val = slices.Clone(iv.BBV.Val)
-					ivs = append(ivs, iv)
-				}
-				return nil
-			}
+			cfg.Workers = p.traceWorkers
 			res, err := trace.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", req.Workload, err)
 			}
-			res.Intervals = ivs
 			return res, nil
 		})
 }

@@ -17,34 +17,30 @@ import (
 	"phasemark/internal/store"
 )
 
-// Per-endpoint request counters plus HTTP outcome classes.
+// Batch request counter plus HTTP outcome classes; each pipeline
+// endpoint's request counter lives in its api entry.
 var (
-	obsReqProfile = obs.NewCounter("service.req.profile")
-	obsReqSelect  = obs.NewCounter("service.req.select")
-	obsReqSegment = obs.NewCounter("service.req.segment")
-	obsReqCluster = obs.NewCounter("service.req.cluster")
-	obsReqBatch   = obs.NewCounter("service.req.batch")
-	obsStatus2xx  = obs.NewCounter("service.status.2xx")
-	obsStatus4xx  = obs.NewCounter("service.status.4xx")
-	obsStatus429  = obs.NewCounter("service.status.429")
-	obsStatus5xx  = obs.NewCounter("service.status.5xx")
-	obsStatus503  = obs.NewCounter("service.status.503")
+	obsReqBatch  = obs.NewCounter("service.req.batch")
+	obsStatus2xx = obs.NewCounter("service.status.2xx")
+	obsStatus4xx = obs.NewCounter("service.status.4xx")
+	obsStatus429 = obs.NewCounter("service.status.429")
+	obsStatus5xx = obs.NewCounter("service.status.5xx")
+	obsStatus503 = obs.NewCounter("service.status.503")
 )
 
 // Config configures a Server.
 type Config struct {
 	// Store holds response artifacts; required.
 	Store *store.Store
-	// Workers bounds concurrently executing requests (default GOMAXPROCS).
+	// Workers bounds concurrently executing requests (default
+	// GOMAXPROCS). The interpreter run behind a segment uses its share
+	// of the machine, par.Share(Workers) goroutines: serial at the
+	// default, the pipeline-parallel engine when fewer requests than
+	// CPUs may execute at once.
 	Workers int
 	// Queue bounds requests waiting for an execution slot (default
 	// 4×Workers). Work beyond Workers+Queue is rejected with 429.
 	Queue int
-	// TraceWorkers is the pipeline-parallel engine's worker count for
-	// the one interpreter run behind each segment (Pipeline.Workers):
-	// 0 keeps the serial streaming path. Independent of Workers, which
-	// bounds cross-request concurrency.
-	TraceWorkers int
 	// AccessLog, when non-nil, receives one structured entry per request
 	// (request ID, trace ID, route, status, bytes, stage breakdown).
 	AccessLog *slog.Logger
@@ -95,7 +91,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:  cfg,
-		pl:   &Pipeline{Workers: cfg.TraceWorkers},
+		pl:   &Pipeline{traceWorkers: par.Share(cfg.workers())},
 		gate: NewGate(cfg.workers(), cfg.queue()),
 		mux:  http.NewServeMux(),
 		slow: obs.NewRing[SlowRequest](cfg.slowWindow()),
@@ -106,10 +102,9 @@ func New(cfg Config) *Server {
 	route := func(path string, track bool, h http.HandlerFunc) {
 		s.mux.HandleFunc(path, s.instrument(path, track, h))
 	}
-	route(EndpointProfile, true, s.handleProfile)
-	route(EndpointSelect, true, s.handleSelect)
-	route(EndpointSegment, true, s.handleSegment)
-	route(EndpointCluster, true, s.handleCluster)
+	for path, a := range apis {
+		route(path, true, s.handleAPI(a))
+	}
 	route(EndpointBatch, true, s.handleBatch)
 	route("/healthz", false, s.handleHealthz)
 	route("/metrics", false, s.handleMetrics)
@@ -141,32 +136,53 @@ type result struct {
 	err   error
 }
 
-// dispatch executes one API call: decode+canonicalize, admit through the
-// gate, then serve from the store or compute once. ctx carries the request
-// span; the gate and store attach their phases to it as child spans.
-func dispatch[T any](s *Server, ctx context.Context, body io.Reader,
+// api is one pipeline endpoint: the counter of its direct requests and
+// its dispatch, which serves both the endpoint and the batch items that
+// name it.
+type api struct {
+	count    *obs.Counter
+	dispatch func(s *Server, ctx context.Context, body io.Reader) result
+}
+
+// apis is the route table of the pipeline endpoints, keyed by path.
+var apis = map[string]api{
+	EndpointProfile: endpoint("profile", DecodeProfileRequest, ProfileRequest.Key, (*Pipeline).Profile),
+	EndpointSelect:  endpoint("select", DecodeSelectRequest, SelectRequest.Key, (*Pipeline).Select),
+	EndpointSegment: endpoint("segment", DecodeSegmentRequest, SegmentRequest.Key, (*Pipeline).Segment),
+	EndpointCluster: endpoint("cluster", DecodeClusterRequest, ClusterRequest.Key, (*Pipeline).Cluster),
+}
+
+// endpoint builds the api of the pipeline endpoint counted as
+// service.req.<name>. Its dispatch executes one call: decode and
+// canonicalize, admit through the gate, then serve from the store or
+// compute once. ctx carries the request span; the gate and store attach
+// their phases to it as child spans.
+func endpoint[T any](name string,
 	decode func(io.Reader) (T, error),
 	key func(T) store.Key,
-	compute func(context.Context, T) ([]byte, error),
-) result {
-	req, err := decode(body)
-	if err != nil {
-		return result{err: err}
-	}
-	k := key(req)
-	var data []byte
-	var outcome store.Outcome
-	err = s.gate.Do(ctx, func() error {
-		var cerr error
-		data, outcome, cerr = s.cfg.Store.GetOrCompute(ctx, k, func(cctx context.Context) ([]byte, error) {
-			return compute(cctx, req)
+	compute func(*Pipeline, context.Context, T) ([]byte, error),
+) api {
+	dispatch := func(s *Server, ctx context.Context, body io.Reader) result {
+		req, err := decode(body)
+		if err != nil {
+			return result{err: err}
+		}
+		k := key(req)
+		var data []byte
+		var outcome store.Outcome
+		err = s.gate.Do(ctx, func() error {
+			var cerr error
+			data, outcome, cerr = s.cfg.Store.GetOrCompute(ctx, k, func(cctx context.Context) ([]byte, error) {
+				return compute(s.pl, cctx, req)
+			})
+			return cerr
 		})
-		return cerr
-	})
-	if err != nil {
-		return result{key: k.String(), err: err}
+		if err != nil {
+			return result{key: k.String(), err: err}
+		}
+		return result{data: data, cache: outcome.String(), key: k.String()}
 	}
-	return result{data: data, cache: outcome.String(), key: k.String()}
+	return api{count: obs.NewCounter("service.req." + name), dispatch: dispatch}
 }
 
 // status maps a dispatch error to its HTTP status.
@@ -277,36 +293,15 @@ func post(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
+// handleAPI serves one pipeline endpoint.
+func (s *Server) handleAPI(a api) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !post(w, r) {
+			return
+		}
+		a.count.Inc()
+		s.finish(w, r, a.dispatch(s, r.Context(), r.Body))
 	}
-	obsReqProfile.Inc()
-	s.finish(w, r, dispatch(s, r.Context(), r.Body, DecodeProfileRequest, ProfileRequest.Key, s.pl.Profile))
-}
-
-func (s *Server) handleSelect(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
-	}
-	obsReqSelect.Inc()
-	s.finish(w, r, dispatch(s, r.Context(), r.Body, DecodeSelectRequest, SelectRequest.Key, s.pl.Select))
-}
-
-func (s *Server) handleSegment(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
-	}
-	obsReqSegment.Inc()
-	s.finish(w, r, dispatch(s, r.Context(), r.Body, DecodeSegmentRequest, SegmentRequest.Key, s.pl.Segment))
-}
-
-func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if !post(w, r) {
-		return
-	}
-	obsReqCluster.Inc()
-	s.finish(w, r, dispatch(s, r.Context(), r.Body, DecodeClusterRequest, ClusterRequest.Key, s.pl.Cluster))
 }
 
 // BatchRequest fans a set of API calls through the service in one HTTP
@@ -375,18 +370,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) batchItem(ctx context.Context, item BatchItem) BatchResult {
 	isp := obs.SpanFromContext(ctx).Child("batch.item", item.Endpoint)
 	ictx := obs.ContextWithSpan(ctx, isp)
-	var res result
-	switch item.Endpoint {
-	case EndpointProfile:
-		res = dispatch(s, ictx, bytes.NewReader(item.Body), DecodeProfileRequest, ProfileRequest.Key, s.pl.Profile)
-	case EndpointSelect:
-		res = dispatch(s, ictx, bytes.NewReader(item.Body), DecodeSelectRequest, SelectRequest.Key, s.pl.Select)
-	case EndpointSegment:
-		res = dispatch(s, ictx, bytes.NewReader(item.Body), DecodeSegmentRequest, SegmentRequest.Key, s.pl.Segment)
-	case EndpointCluster:
-		res = dispatch(s, ictx, bytes.NewReader(item.Body), DecodeClusterRequest, ClusterRequest.Key, s.pl.Cluster)
-	default:
-		res = result{err: reqErrf("unknown batch endpoint %q", item.Endpoint)}
+	res := result{err: reqErrf("unknown batch endpoint %q", item.Endpoint)}
+	if a, ok := apis[item.Endpoint]; ok {
+		res = a.dispatch(s, ictx, bytes.NewReader(item.Body))
 	}
 	if res.cache != "" {
 		isp.SetTag("cache", res.cache)

@@ -9,16 +9,17 @@ import (
 	"phasemark/internal/minivm"
 )
 
-// This file is the pipeline-parallel streaming engine behind
-// Config.Workers. Two regimes, both bit-identical to the serial
-// streaming path in Run:
+// This file is the pipeline-parallel engine behind Config.Workers >= 2.
+// Two regimes, both bit-identical to the serial path in Run, streaming
+// or materializing:
 //
 //   - Single execution (Scale <= 1): a record/replay split. The
 //     interpreter runs on a producer goroutine with one flat observer
 //     that encodes every event as a tagged word into a bounded ring of
 //     buffers; the caller goroutine replays the words into the run's
 //     analysisStack in the exact observer sequence the serial path uses
-//     (cutter/detector, timing model, BBV accumulator, collector, Sink).
+//     (cutter/detector, timing model, BBV accumulator, collector, and
+//     Sink or the materialized Result).
 //     The ring gives backpressure — the interpreter traces ahead while
 //     analysis consumes — and replaying the total event order reproduces
 //     every cut, counter, and snapshot by construction.
@@ -30,7 +31,8 @@ import (
 //     (Scale's contract), streaming rep-local chunks through a bounded
 //     per-worker ring. The caller-side reducer consumes chunks rep-major
 //     — all of rep 0, then rep 1, ... — rebases them onto the global
-//     instruction axis, and feeds the Sink in order.
+//     instruction axis, and feeds the Sink in order or, materializing,
+//     keeps them as the Result's intervals.
 //     Because every repetition is cold, rep r's interval sequence does
 //     not depend on which worker ran it or when, so the merged stream
 //     equals the serial one byte for byte. Both loops flush each
@@ -71,7 +73,7 @@ const (
 // aborts; it never escapes to the caller (the originating error does).
 var errEngineStopped = errors.New("trace: engine stopped")
 
-// runEngine dispatches a streaming run with Workers >= 1.
+// runEngine dispatches a run with Workers >= 2.
 func runEngine(cfg Config) (*Result, error) {
 	if runs := max(cfg.Scale, 1); runs >= 2 {
 		return runReps(cfg, runs)
@@ -294,7 +296,7 @@ func runSplit(cfg Config) (*Result, error) {
 	if s.col.err != nil {
 		return nil, fmt.Errorf("trace: sink: %w", s.col.err)
 	}
-	return finish(cfg, nil, s.col.count, runTotals{instrs: total, perf: s.cpu.Counters(), fires: s.fired()}), nil
+	return finish(cfg, s.col.intervals, s.col.count, runTotals{instrs: total, perf: s.cpu.Counters(), fires: s.fired()}), nil
 }
 
 // repChunk is the rep-parallel transfer unit: a deep copy of one
@@ -324,6 +326,9 @@ func (tc *repChunk) fill(chunk []Interval, instrBase uint64, indexBase int) {
 	if cap(tc.idx) < entries {
 		tc.idx = make([]int32, 0, entries)
 		tc.val = make([]float64, 0, entries)
+	}
+	if cap(tc.ivs) < len(chunk) {
+		tc.ivs = make([]Interval, 0, len(chunk))
 	}
 	tc.idx, tc.val = tc.idx[:0], tc.val[:0]
 	tc.ivs = tc.ivs[:0]
@@ -382,7 +387,9 @@ func repWorker(cfg Config, w, W int, out chan<- *repChunk, free <-chan *repChunk
 
 // runReps is the amplified-execution regime: repetitions fan out over
 // min(Workers, Scale) workers; the reducer stitches their rep-local
-// streams back into the one global stream the serial path produces.
+// streams back into the one global stream the serial path produces. A
+// materializing run keeps every rebased chunk (a deep copy, see fill)
+// and hands the worker a fresh one in its place.
 // Workers are stopped and joined on every return path, a sink panic
 // included; a worker cannot abandon a repetition mid-interpretation, so
 // an early return waits for at most each worker's current repetition.
@@ -412,6 +419,7 @@ func runReps(cfg Config, runs int) (*Result, error) {
 
 	var sum runTotals
 	var index int
+	var intervals []*Interval
 	for rep := 0; rep < runs; rep++ {
 		w := rep % W
 		repCount := 0
@@ -433,7 +441,11 @@ func runReps(cfg Config, runs int) (*Result, error) {
 					tc.ivs[i].End += sum.instrs
 				}
 				repCount += len(tc.ivs)
-				if err := cfg.Sink(tc.ivs); err != nil {
+				if cfg.Sink == nil {
+					for i := range tc.ivs {
+						intervals = append(intervals, &tc.ivs[i])
+					}
+				} else if err := cfg.Sink(tc.ivs); err != nil {
 					return nil, fmt.Errorf("trace: sink: %w", err)
 				}
 			}
@@ -442,11 +454,14 @@ func runReps(cfg Config, runs int) (*Result, error) {
 				sum = sum.add(tc.tot)
 				index += repCount
 			}
+			if cfg.Sink == nil && len(tc.ivs) > 0 {
+				tc = &repChunk{} // the Result keeps the filled one
+			}
 			frees[w] <- tc // ring slot back to the worker (never full; errors are off-ring)
 			if last {
 				break
 			}
 		}
 	}
-	return finish(cfg, nil, index, sum), nil
+	return finish(cfg, intervals, index, sum), nil
 }

@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -57,8 +58,8 @@ func equalStreams(t *testing.T, got, want []Interval, label string) {
 // The pipeline-parallel engine must produce a byte-identical interval
 // stream and identical totals at every worker count and chunk size, in
 // both cutting modes, at scale 1 (record/replay split) and scale 5
-// (rep-parallel workers). Run under -race this also exercises the
-// ring handoffs for data races.
+// (rep-parallel workers), against the serial stream (Workers 1). Run
+// under -race this also exercises the ring handoffs for data races.
 func TestEngineParallelDeterminism(t *testing.T) {
 	for _, mode := range []string{"marker", "fixed"} {
 		for _, scale := range []int{1, 5} {
@@ -72,11 +73,12 @@ func TestEngineParallelDeterminism(t *testing.T) {
 				for _, chunk := range []int{1, 7, 256} {
 					ref := *base
 					ref.ChunkSize = chunk
+					ref.Workers = 1
 					want, wantRes := streamRun(t, ref)
 					if len(want) < 3 {
 						t.Fatalf("chunk %d: reference stream has only %d intervals", chunk, len(want))
 					}
-					for _, workers := range []int{1, 4, 16} {
+					for _, workers := range []int{2, 4, 16} {
 						par := *base
 						par.ChunkSize = chunk
 						par.Workers = workers
@@ -90,6 +92,81 @@ func TestEngineParallelDeterminism(t *testing.T) {
 						if res.Intervals != nil {
 							t.Fatalf("%s: engine run materialized intervals", label)
 						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// Workers 0 resolves to GOMAXPROCS and 1 to the serial path, and a
+// materializing run on the engine equals the serial one bit for bit,
+// BBVs included, at every worker count, in both cutting modes, at scale
+// 1 (record/replay split) and scale 5 (rep-parallel workers). CI runs it
+// with -cpu 1,4 so the default lands on each side of the choice.
+func TestEngineMaterializing(t *testing.T) {
+	t.Run("default", func(t *testing.T) {
+		cfg, _ := compileAndMark(t, 50_000)
+		cfg.Markers, cfg.FixedLen = nil, 5_000
+		cfg.Args = []int64{1, 2000}
+		cfg.Scale, cfg.ChunkSize = 8, 1
+		for _, workers := range []int{0, 1} {
+			// The first chunk reaches the sink while every rep worker is
+			// still running: worker 0 has yet to close repetition 0, and
+			// each other worker has more chunks to ship than its ring
+			// holds. So the goroutines alive then are exactly the
+			// engine's min(Workers, Scale) rep workers, and none on the
+			// serial path.
+			want := 0
+			if workers == 0 && runtime.GOMAXPROCS(0) > 1 {
+				want = min(runtime.GOMAXPROCS(0), cfg.Scale)
+			}
+			c := *cfg
+			c.Workers = workers
+			base, got := runtime.NumGoroutine(), -1
+			c.Sink = func([]Interval) error {
+				if got < 0 {
+					got = runtime.NumGoroutine() - base
+				}
+				return nil
+			}
+			if _, err := Run(c); err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("Workers %d at GOMAXPROCS %d: %d goroutines beside the caller's, want %d",
+					workers, runtime.GOMAXPROCS(0), got, want)
+			}
+		}
+	})
+	for _, mode := range []string{"marker", "fixed"} {
+		for _, scale := range []int{1, 5} {
+			t.Run(fmt.Sprintf("%s/scale%d", mode, scale), func(t *testing.T) {
+				cfg, _ := compileAndMark(t, 50_000)
+				cfg.Args = []int64{3, 20000}
+				if mode == "fixed" {
+					cfg.Markers, cfg.FixedLen = nil, 20_000
+				}
+				// Rep workers ship chunks of ChunkSize even when the run
+				// materializes; small ones make the reducer hand ring
+				// slots back between chunks it keeps.
+				cfg.ChunkSize = 2
+				cfg.Scale, cfg.Workers = scale, 1
+				want, err := Run(*cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(want.Intervals) < 3 {
+					t.Fatalf("serial run has only %d intervals", len(want.Intervals))
+				}
+				for _, workers := range []int{2, 4, 16} {
+					cfg.Workers = workers
+					got, err := Run(*cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("workers=%d: materialized result differs from the serial run", workers)
 					}
 				}
 			})
@@ -199,7 +276,7 @@ func TestEngineSinkPanic(t *testing.T) {
 	for _, rc := range []struct {
 		name           string
 		scale, workers int
-	}{{"serial", 8, 0}, {"split", 1, 4}, {"reps", 8, 4}} {
+	}{{"serial", 8, 1}, {"split", 1, 4}, {"reps", 8, 4}} {
 		t.Run(rc.name, func(t *testing.T) {
 			cfg, _ := compileAndMark(t, 50_000)
 			cfg.Args = []int64{2, 20000}

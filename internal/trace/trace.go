@@ -7,6 +7,7 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
 
 	"phasemark/internal/bbv"
 	"phasemark/internal/core"
@@ -99,15 +100,16 @@ type Config struct {
 	// output). 0 or 1 means a single execution.
 	Scale int
 
-	// Workers enables the pipeline-parallel streaming engine when
-	// positive and Sink is set: trace production is decoupled from
-	// analysis through a bounded ring of event buffers (single
-	// execution), and Scale repetitions are fanned over min(Workers,
-	// Scale) machine instances with chunks delivered to Sink in
-	// rep-major order (amplified execution). Output is bit-identical to
-	// the serial stream at any worker count; only wall-clock changes.
-	// 0 keeps the serial in-line path; negative is an error.
-	// Materializing runs (Sink == nil) ignore Workers.
+	// Workers is the number of goroutines the run may use: 0 (the
+	// default) means runtime.GOMAXPROCS(0), 1 the serial in-line path,
+	// and 2 or more the pipeline-parallel engine (engine.go) — trace
+	// production decoupled from analysis through a bounded ring of event
+	// buffers (single execution), or Scale repetitions fanned over
+	// min(Workers, Scale) machine instances and merged in rep-major order
+	// (amplified execution). Streaming and materializing runs alike are
+	// bit-identical to the serial path at any worker count; only
+	// wall-clock changes. Negative is an error. A caller that already
+	// runs several traces at once passes each its par.Share.
 	Workers int
 }
 
@@ -384,10 +386,13 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("trace: negative Workers (%d)", cfg.Workers)
 	}
-	if cfg.Sink != nil && cfg.Workers > 0 {
-		// Pipeline-parallel streaming engine (engine.go): overlap trace
-		// production with analysis, and fan Scale repetitions over
-		// workers. Bit-identical to the serial path below.
+	if cfg.Workers == 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Workers > 1 {
+		// Pipeline-parallel engine (engine.go): overlap trace production
+		// with analysis, and fan Scale repetitions over workers.
+		// Bit-identical to the serial path below.
 		return runEngine(cfg)
 	}
 	s := newAnalysisStack(cfg, cfg.Sink)

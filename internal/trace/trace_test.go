@@ -250,7 +250,8 @@ func sameIntervals(t *testing.T, got []Interval, want []*Interval) {
 
 // Streaming emission must be observationally identical to materializing:
 // same intervals, same BBVs, same totals — in both cutting modes, with a
-// chunk size small enough to force many flush/recycle cycles.
+// chunk size small enough to force many flush/recycle cycles. Both runs
+// take the serial path (Workers 1).
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	for _, mode := range []string{"marker", "fixed"} {
 		t.Run(mode, func(t *testing.T) {
@@ -259,6 +260,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 				cfg.Markers = nil
 				cfg.FixedLen = 20_000
 			}
+			cfg.Workers = 1
 			want, err := Run(*cfg)
 			if err != nil {
 				t.Fatal(err)
