@@ -87,6 +87,12 @@ func StagesScaled(scale int) []Stage {
 			New:  newInterpDispatch,
 		},
 		{
+			Name: "interp_suite",
+			Desc: "interpreter on the mix the pipeline runs: all 16 workloads on their train inputs at -O0, machines reused via Reset, no observers",
+			Unit: "Minstr/s",
+			New:  newInterpSuite,
+		},
+		{
 			Name: "profile",
 			Desc: "call-loop profiling: core.ProfileRun on gzip's train input, the walker numbering edges and the graph accumulating per-edge statistics over a full run",
 			Unit: "Minstr/s",
@@ -258,6 +264,36 @@ func newInterpDispatch() (func() (uint64, error), error) {
 		}
 		return m.Instructions(), nil
 	}, nil
+}
+
+func newInterpSuite() (func() (uint64, error), error) {
+	type run struct {
+		m    *minivm.Machine
+		args []int64
+	}
+	var runs []run
+	for _, w := range workloads.All() {
+		runs = append(runs, run{minivm.NewMachine(w.MustCompile(false), nil), w.Train})
+	}
+	pass := func() (uint64, error) {
+		var instrs uint64
+		for _, r := range runs {
+			r.m.Reset()
+			if _, err := r.m.Run(r.args...); err != nil {
+				return 0, err
+			}
+			instrs += r.m.Instructions()
+		}
+		return instrs, nil
+	}
+	// A pass retires ~175M instructions, so testing.B times only a few:
+	// one warm pass in setup sizes every machine's buffers, and the timed
+	// passes report steady-state allocations (zero) rather than first-run
+	// growth divided by a small b.N.
+	if _, err := pass(); err != nil {
+		return nil, err
+	}
+	return pass, nil
 }
 
 func newProfile() (func() (uint64, error), error) {

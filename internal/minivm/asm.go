@@ -353,6 +353,9 @@ func parseLine(ap *asmParser, cur *Block, l string) (isTerm bool, callee string,
 		}
 		return emit(in)
 	case "jump":
+		if len(ops) == 0 {
+			return fail("missing operand 0")
+		}
 		tgt, perr := blockIdx(ops[0])
 		if perr != nil {
 			return fail("%v", perr)
@@ -388,9 +391,9 @@ func parseLine(ap *asmParser, cur *Block, l string) (isTerm bool, callee string,
 		cur.Term = Term{Kind: TermBranch, Cond: cond, A: a, B: b, Target: tgt, Else: els}
 		return true, "", nil
 	case "ret":
-		rr, perr := reg(ops[0])
-		if perr != nil {
-			return fail("%v", perr)
+		rr := r(0)
+		if err != nil {
+			return fail("%v", err)
 		}
 		cur.Term = Term{Kind: TermRet, Ret: rr}
 		return true, "", nil

@@ -69,6 +69,8 @@ func TestAsmParseErrors(t *testing.T) {
 		"missing entry":   "program entry=nope globals=0\nproc main args=0 regs=1 {\nb0: line=0 col=0\n  halt\n}",
 		"out-of-order":    "program entry=main globals=0\nproc main args=0 regs=1 {\nb1: line=0 col=0\n  halt\n}",
 		"instr w/o label": "program entry=main globals=0\nproc main args=0 regs=1 {\n  halt\n}",
+		"bare ret":        "program entry=main globals=0\nproc main args=0 regs=1 {\nb0: line=0 col=0\n  ret\n}",
+		"bare jump":       "program entry=main globals=0\nproc main args=0 regs=1 {\nb0: line=0 col=0\n  jump\n}",
 	}
 	for name, src := range cases {
 		if _, err := ParseAsm(src); err == nil {

@@ -1,15 +1,18 @@
 package minivm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
 
 // FuzzParseAsm checks the assembly round trip: any text ParseAsm accepts
 // must print back to a fixed point (Print(Parse(Print(p))) == Print(p)),
-// and the reparsed program must re-validate. Rejected inputs must fail
-// with an error, never a panic — ParseAsm consumes checked-in artifacts
-// and hand-edited dumps, both attacker-ish inputs.
+// and the reparsed program must re-validate and execute: Run, which
+// indexes registers without bounds checks, must return a value or a
+// runtime error, never panic. Rejected inputs must fail with an error,
+// never a panic — ParseAsm consumes checked-in artifacts and hand-edited
+// dumps, both attacker-ish inputs.
 func FuzzParseAsm(f *testing.F) {
 	seed := &Proc{Name: "main", NumArgs: 1, NumRegs: 3}
 	seed.Blocks = []*Block{
@@ -52,6 +55,17 @@ func FuzzParseAsm(f *testing.F) {
 		}
 		if err := back.Validate(); err != nil {
 			t.Fatalf("reparsed program fails validation: %v", err)
+		}
+		if back.GlobalWords > 1<<16 {
+			return // only bounds the fuzzer's memory
+		}
+		m := NewMachine(back, nil)
+		m.MaxInstrs, m.MaxDepth = 1<<16, 64
+		switch _, err := m.Run(make([]int64, back.EntryProc().NumArgs)...); {
+		case err == nil, errors.Is(err, ErrDivByZero), errors.Is(err, ErrMemFault),
+			errors.Is(err, ErrStackOverflow), errors.Is(err, ErrInstrLimit):
+		default:
+			t.Fatalf("accepted program fails to run: %v\n%s", err, text)
 		}
 	})
 }

@@ -205,6 +205,9 @@ var (
 	ErrMemFault      = errors.New("minivm: memory access out of range")
 	ErrStackOverflow = errors.New("minivm: call stack overflow")
 	ErrInstrLimit    = errors.New("minivm: instruction limit exceeded")
+	// ErrInvalidProgram is returned by Run on a machine whose program
+	// failed Program.Validate in NewMachine; such a machine never executes.
+	ErrInvalidProgram = errors.New("minivm: invalid program")
 )
 
 // WordBytes is the byte size of one memory word; OnMem addresses are word
@@ -237,6 +240,7 @@ var (
 type Machine struct {
 	prog *Program
 	mem  []int64
+	err  error // validation failure, returned by every Run
 
 	// Per-event observer dispatch, built once from the observer passed to
 	// NewMachine (see EventMasker). An empty sink means the event is not
@@ -247,9 +251,11 @@ type Machine struct {
 	onBranch sink
 	onMem    sink
 
-	// regs is the register arena: each frame owns the window
-	// [frame.base, frame.base+frame.nregs). Calls extend it and returns
-	// truncate it, so the steady state allocates nothing.
+	// regs is the register arena: each frame owns the words
+	// [frame.base, frame.base+frame.proc.NumRegs). Calls extend it and
+	// returns truncate it, so the steady state allocates nothing. Its
+	// capacity always reaches regWindow words past the top frame's base
+	// (see window).
 	regs   []int64
 	frames []frame
 
@@ -269,16 +275,24 @@ type Machine struct {
 }
 
 // NewMachine builds a machine for prog reporting to observer (nil for
-// none). The observer's per-event dispatch is resolved here, once: nested
-// MultiObservers are flattened and every event kind gets its own direct
-// call list, filtered by the observers' EventMasks.
+// none). It validates prog once (Program.Validate): a machine whose
+// program fails never executes, and its Run returns an error wrapping
+// ErrInvalidProgram. The interpreter relies on that check for memory
+// safety of its register windows, so prog must not change after
+// NewMachine. The observer's per-event dispatch is resolved here, once:
+// nested MultiObservers are flattened and every event kind gets its own
+// direct call list, filtered by the observers' EventMasks.
 func NewMachine(prog *Program, observer Observer) *Machine {
 	m := &Machine{
 		prog:      prog,
-		mem:       make([]int64, prog.GlobalWords),
 		MaxInstrs: DefaultMaxInstrs,
 		MaxDepth:  DefaultMaxDepth,
 	}
+	if err := prog.Validate(); err != nil {
+		m.err = fmt.Errorf("%w: %w", ErrInvalidProgram, err)
+		return m
+	}
+	m.mem = make([]int64, prog.GlobalWords)
 	flat := flattenObservers(observer, nil)
 	var block, call, ret, branch, mem []Observer
 	for _, o := range flat {
@@ -359,22 +373,36 @@ func (m *Machine) Reset() {
 type frame struct {
 	proc   *Proc
 	base   int   // register window start in Machine.regs
-	nregs  int   // register window length
 	retBlk int   // caller block index to resume at
 	retReg uint8 // caller register receiving the return value
 }
 
-// growZero extends s by n zeroed elements, reusing capacity when it can.
+// regWindow is the fixed span Run addresses a frame's registers through:
+// every register operand is a uint8, so it indexes a *[regWindow]int64
+// with no bounds check. Validation bounds each operand by its proc's
+// NumRegs (at most NumRegsMax), so a frame only touches the first
+// NumRegs words of its window and never its callee's.
+const regWindow = 256
+
+// growZero extends s by n zeroed elements for a frame based at len(s),
+// reusing capacity when it can, and keeps regWindow words of capacity
+// past that base so window(s, len(s)) stays in range.
 func growZero(s []int64, n int) []int64 {
 	l := len(s)
-	if l+n <= cap(s) {
-		s = s[: l+n : cap(s)]
+	if l+regWindow <= cap(s) {
+		s = s[:l+n]
 		clear(s[l:])
 		return s
 	}
-	ns := make([]int64, l+n, 2*(l+n)+64)
+	ns := make([]int64, l+n, 2*(l+regWindow))
 	copy(ns, s)
 	return ns
+}
+
+// window returns the regWindow words of the arena starting at a frame's
+// base; growZero guarantees the capacity.
+func window(regs []int64, base int) *[regWindow]int64 {
+	return (*[regWindow]int64)(regs[base : base+regWindow])
 }
 
 // Run executes the program's entry procedure with the given arguments
@@ -385,6 +413,9 @@ func growZero(s []int64, n int) []int64 {
 // in NewMachine: no event nobody consumes is dispatched, a single consumer
 // is called directly, and only genuinely shared events range over a list.
 func (m *Machine) Run(args ...int64) (int64, error) {
+	if m.err != nil {
+		return 0, m.err
+	}
 	entry := m.prog.EntryProc()
 	if len(args) != entry.NumArgs {
 		return 0, fmt.Errorf("minivm: entry %q wants %d args, got %d",
@@ -393,7 +424,7 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 	defer m.flushObs()
 	m.regs = growZero(m.regs[:0], entry.NumRegs)
 	copy(m.regs, args)
-	m.frames = append(m.frames[:0], frame{proc: entry, nregs: entry.NumRegs})
+	m.frames = append(m.frames[:0], frame{proc: entry})
 	fr := &m.frames[0]
 	bi := 0
 
@@ -410,7 +441,7 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 		if m.instrs > m.MaxInstrs {
 			return 0, fmt.Errorf("%w (limit %d)", ErrInstrLimit, m.MaxInstrs)
 		}
-		regs := m.regs[fr.base : fr.base+fr.nregs]
+		regs := window(m.regs, fr.base)
 		for _, in := range b.Instr {
 			switch in.Op {
 			case OpNop:
@@ -519,9 +550,9 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 			m.regs = growZero(m.regs, callee.NumRegs)
 			// regs may have been reallocated by the grow: re-derive the
 			// caller window from the arena before copying arguments.
-			caller := m.regs[fr.base : fr.base+fr.nregs]
+			src, dst := window(m.regs, fr.base), window(m.regs, base)
 			for i, a := range t.Args {
-				m.regs[base+i] = caller[a]
+				dst[i] = src[a]
 			}
 			if o := m.onCall.one; o != nil {
 				o.OnCall(b, callee)
@@ -533,7 +564,6 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 			m.frames = append(m.frames, frame{
 				proc:   callee,
 				base:   base,
-				nregs:  callee.NumRegs,
 				retBlk: t.Next,
 				retReg: t.Ret,
 			})
@@ -555,7 +585,7 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 			m.regs = m.regs[:fr.base]
 			m.frames = m.frames[:len(m.frames)-1]
 			fr = &m.frames[len(m.frames)-1]
-			m.regs[fr.base+int(retReg)] = rv
+			window(m.regs, fr.base)[retReg] = rv
 			bi = retBlk
 		case TermHalt:
 			// Unwind observers for any active frames so profilers see a

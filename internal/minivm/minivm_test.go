@@ -2,6 +2,7 @@ package minivm
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -207,18 +208,21 @@ func TestCallsBalancedOnHalt(t *testing.T) {
 	}
 }
 
+// breakers each corrupt one structural property of buildProg's program.
+var breakers = []func(p *Program){
+	func(p *Program) { p.Entry = 5 },
+	func(p *Program) { p.Procs[0].NumRegs = 0 },
+	func(p *Program) { p.Procs[0].NumRegs = NumRegsMax + 1 },
+	func(p *Program) { p.Procs[0].Blocks[0].Term.Target = 99 },
+	func(p *Program) { p.Procs[0].Blocks[1].Term.Else = -1 },
+	func(p *Program) { p.Procs[0].Blocks[2].Instr[0].A = 200 },
+	func(p *Program) { p.Procs[0].Blocks = nil },
+	func(p *Program) { p.Procs[0].Blocks[0].ID = 77 },
+	func(p *Program) { p.NumBlocks = 1 },
+	func(p *Program) { p.Procs[0].Blocks[1].Term.Cond = CondGE + 4 },
+}
+
 func TestValidateCatchesCorruption(t *testing.T) {
-	breakers := []func(p *Program){
-		func(p *Program) { p.Entry = 5 },
-		func(p *Program) { p.Procs[0].NumRegs = 0 },
-		func(p *Program) { p.Procs[0].NumRegs = NumRegsMax + 1 },
-		func(p *Program) { p.Procs[0].Blocks[0].Term.Target = 99 },
-		func(p *Program) { p.Procs[0].Blocks[1].Term.Else = -1 },
-		func(p *Program) { p.Procs[0].Blocks[2].Instr[0].A = 200 },
-		func(p *Program) { p.Procs[0].Blocks = nil },
-		func(p *Program) { p.Procs[0].Blocks[0].ID = 77 },
-		func(p *Program) { p.NumBlocks = 1 },
-	}
 	for i, breakIt := range breakers {
 		p := buildProg(t)
 		breakIt(p)
@@ -226,6 +230,46 @@ func TestValidateCatchesCorruption(t *testing.T) {
 			t.Errorf("breaker %d: validation passed on corrupt program", i)
 		}
 	}
+}
+
+// TestRunRefusesInvalidProgram pins the machine's one gate: Run indexes
+// registers through an unchecked fixed window, so a program that fails
+// validation must come back as ErrInvalidProgram, never as a panic or a
+// run that reads or writes a neighbouring frame's registers.
+func TestRunRefusesInvalidProgram(t *testing.T) {
+	refuse := func(name string, p *Program) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s: Run panicked: %v", name, r)
+			}
+		}()
+		if rv, err := NewMachine(p, nil).Run(5); !errors.Is(err, ErrInvalidProgram) {
+			t.Errorf("%s: Run = %d, %v; want ErrInvalidProgram", name, rv, err)
+		}
+	}
+	for i, breakIt := range breakers {
+		p := buildProg(t)
+		breakIt(p)
+		refuse(fmt.Sprintf("breaker %d", i), p)
+	}
+
+	// main(n) calls f, whose r10 lies past its two registers: inside its
+	// register window, outside its frame.
+	f := &Proc{Name: "f", NumArgs: 0, NumRegs: 2}
+	f.Blocks = []*Block{{
+		Instr: []Instr{{Op: OpConst, A: 10, Imm: 99}},
+		Term:  Term{Kind: TermRet, Ret: 0},
+	}}
+	main := &Proc{Name: "main", NumArgs: 1, NumRegs: 2}
+	main.Blocks = []*Block{
+		{Term: Term{Kind: TermCall, Callee: 0, Ret: 1, Next: 1}},
+		{Term: Term{Kind: TermRet, Ret: 1}},
+	}
+	p := &Program{Procs: []*Proc{f, main}, Entry: 1}
+	f.ID, main.ID = 0, 1
+	p.RenumberBlocks()
+	refuse("callee writes r10", p)
 }
 
 func TestDisasmMentionsEverything(t *testing.T) {

@@ -4,8 +4,9 @@ import "fmt"
 
 // Validate checks structural well-formedness of the program: entry and
 // block/register/procedure indices in range, argument counts consistent,
-// and terminators present. Compilers call it after codegen and after every
-// optimization pass; the interpreter assumes a validated program.
+// branch conditions known, and terminators present. Compilers call it
+// after codegen and after every optimization pass; NewMachine validates
+// the program it is given, and Run refuses to execute one that fails.
 func (p *Program) Validate() error {
 	if p.Entry < 0 || p.Entry >= len(p.Procs) {
 		return fmt.Errorf("entry proc index %d out of range", p.Entry)
@@ -16,7 +17,10 @@ func (p *Program) Validate() error {
 	if p.GlobalWords < 0 {
 		return fmt.Errorf("negative global memory size %d", p.GlobalWords)
 	}
-	seen := make(map[int]bool, p.NumBlocks)
+	if p.NumBlocks < 0 {
+		return fmt.Errorf("negative block count %d", p.NumBlocks)
+	}
+	seen := make([]bool, p.NumBlocks)
 	for pi, pr := range p.Procs {
 		if pr == nil {
 			return fmt.Errorf("proc %d is nil", pi)
@@ -42,8 +46,18 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-func (p *Program) validateBlock(pr *Proc, bi int, b *Block, seen map[int]bool) error {
-	where := fmt.Sprintf("proc %q block %d", pr.Name, bi)
+// blockLoc names a block in validation errors. It formats only when an
+// error is built, so validating a well-formed program does not allocate
+// per block.
+type blockLoc struct {
+	proc  string
+	block int
+}
+
+func (l blockLoc) String() string { return fmt.Sprintf("proc %q block %d", l.proc, l.block) }
+
+func (p *Program) validateBlock(pr *Proc, bi int, b *Block, seen []bool) error {
+	where := blockLoc{pr.Name, bi}
 	if b == nil {
 		return fmt.Errorf("%s: nil block", where)
 	}
@@ -117,6 +131,9 @@ func (p *Program) validateBlock(pr *Proc, bi int, b *Block, seen map[int]bool) e
 	case TermJump:
 		return blk(t.Target, "jump target")
 	case TermBranch:
+		if t.Cond > CondGE {
+			return fmt.Errorf("%s: bad branch condition %d", where, t.Cond)
+		}
 		if err := reg(t.A); err != nil {
 			return err
 		}
