@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"strings"
 	"testing"
 
 	"phasemark/internal/minivm"
@@ -220,13 +221,35 @@ func TestCompileErrors(t *testing.T) {
 		{"duplicate global", `var g; var g; proc main() { return 0; }`},
 		{"duplicate local", `proc main() { var x; var x; return 0; }`},
 		{"assign to array name", `array a[4]; proc main() { a = 3; return 0; }`},
+		{"undefined assign target", `proc main() { y = 1; return 0; }`},
+		{"indexed store to scalar", `var v; proc main() { v[0] = 1; return 0; }`},
+		{"duplicate parameter", `proc main(a, a) { return a; }`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := CompileSource(tc.src, Options{}); err == nil {
-				t.Fatalf("expected error for %q", tc.name)
+			_, regErr := CompileSource(tc.src, Options{})
+			_, stkErr := CompileSource(tc.src, Options{Stack: true})
+			if regErr == nil || stkErr == nil {
+				t.Fatalf("expected an error from both backends, got register %v, stack %v", regErr, stkErr)
+			}
+			if regErr.Error() != stkErr.Error() {
+				t.Fatalf("backends disagree:\nregister %v\nstack    %v", regErr, stkErr)
 			}
 		})
+	}
+}
+
+// TestStackBackendRefusesCallingMain pins the one source program the two
+// backends treat differently: the stack backend's main materializes its
+// own frame pointer, so it cannot be called.
+func TestStackBackendRefusesCallingMain(t *testing.T) {
+	src := `proc f(n) { if (n > 0) { return main(n - 1); } return 0; } proc main(n) { return f(n); }`
+	if _, err := CompileSource(src, Options{}); err != nil {
+		t.Fatalf("register backend: %v", err)
+	}
+	_, err := CompileSource(src, Options{Stack: true})
+	if err == nil || !strings.Contains(err.Error(), "does not support calling main") {
+		t.Fatalf("stack backend: got %v, want a refusal to call main", err)
 	}
 }
 
