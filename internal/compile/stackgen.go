@@ -1,8 +1,6 @@
 package compile
 
 import (
-	"fmt"
-
 	"phasemark/internal/lang"
 	"phasemark/internal/minivm"
 )
@@ -22,9 +20,11 @@ import (
 // Conventions:
 //   - memory layout: user globals at [0, G), then a stack region of
 //     StackWords words;
-//   - every non-entry procedure takes its user arguments in registers
-//     followed by one extra argument: FP, the base of its memory frame;
-//   - frame layout: locals at FP+0.., then the operand stack;
+//   - every non-entry procedure takes one argument, FP, the base of its
+//     memory frame; the caller writes the user arguments into the
+//     callee's first frame slots;
+//   - frame layout: parameters and locals at FP+0.., then the operand
+//     stack;
 //   - the entry procedure materializes FP = G (bottom of the stack
 //     region) itself, keeping main's external signature unchanged.
 
@@ -33,94 +33,29 @@ import (
 const StackWords = 1 << 16
 
 type stackGen struct {
-	c    *compiler
-	decl *lang.ProcDecl
-	proc *minivm.Proc
+	lowerer
 
-	// Register plan: user args in r0..rn-1, FP next, then fixed scratch.
+	// Register plan: main's user args in r0..rn-1, FP next, then fixed
+	// scratch.
 	fp    uint8
 	rA    uint8 // primary scratch (pop destination / results)
 	rB    uint8 // secondary scratch
 	rAddr uint8 // address scratch
 
-	scopes   []map[string]int // local name -> frame slot
-	slots    int              // frame slots allocated to locals
-	maxSlots int
+	maxSlots int // frame slots the locals need
 	depth    int // operand-stack depth
 	maxDepth int
-
-	fixups     []fixup
-	frameFix   []struct{ blk, idx int } // instrs whose Imm = frame size
-	loops      []loopCtx
-	pos        lang.Pos
-	cur        *minivm.Block
-	isEntry    bool
-	stackBase  int64
-	frameWords int
-	err        error
+	frameFix []struct{ blk, idx int } // instrs whose Imm = frame size
 }
 
-// compileStack lowers the file with the stack backend.
-func compileStack(f *lang.File, opts Options) (*minivm.Program, error) {
-	c := &compiler{
-		file:    f,
-		globals: map[string]globalSym{},
-		procIdx: map[string]int{},
-	}
-	if err := c.layoutGlobals(); err != nil {
-		return nil, err
-	}
-	prog := &minivm.Program{GlobalWords: c.globalWords + StackWords}
-	entry := -1
-	for i, pd := range f.Procs {
-		if _, dup := c.procIdx[pd.Name]; dup {
-			return nil, errAt(pd.Pos, "duplicate procedure %q", pd.Name)
-		}
-		c.procIdx[pd.Name] = i
-		if pd.Name == "main" {
-			entry = i
-		}
-	}
-	if entry < 0 {
-		return nil, fmt.Errorf("compile: no main procedure")
-	}
-	prog.Entry = entry
-	for i, pd := range f.Procs {
-		pr, err := c.genStackProc(i, pd, i == entry, int64(c.globalWords))
-		if err != nil {
-			return nil, err
-		}
-		prog.Procs = append(prog.Procs, pr)
-	}
-	prog.RenumberBlocks()
-	if opts.Optimize {
-		Optimize(prog)
-	}
-	if opts.Inline {
-		Inline(prog)
-		Optimize(prog)
-	}
-	if err := prog.Validate(); err != nil {
-		return nil, fmt.Errorf("compile: stack backend internal error: %w", err)
-	}
-	return prog, nil
-}
-
-func (c *compiler) genStackProc(idx int, pd *lang.ProcDecl, isEntry bool, stackBase int64) (*minivm.Proc, error) {
-	nargs := len(pd.Params)
-	g := &stackGen{
-		c:    c,
-		decl: pd,
-		proc: &minivm.Proc{Name: pd.Name, ID: idx, Line: pd.Pos.Line},
-		pos:  pd.Pos,
-
-		isEntry:   isEntry,
-		stackBase: stackBase,
-	}
+func (c *compiler) genStackProc(idx int, pd *lang.ProcDecl) (*minivm.Proc, error) {
+	g := &stackGen{}
+	g.lowerer = lowerer{c: c, isa: g, proc: &minivm.Proc{Name: pd.Name, ID: idx, Line: pd.Pos.Line}}
+	isEntry := idx == c.entry
 	if isEntry {
 		// main keeps its external signature; FP is materialized locally.
-		g.proc.NumArgs = nargs
-		g.fp = uint8(nargs)
+		g.proc.NumArgs = len(pd.Params)
+		g.fp = uint8(len(pd.Params))
 	} else {
 		// Every other procedure receives only FP; its user arguments are
 		// already in its frame slots, written there by the caller.
@@ -135,114 +70,68 @@ func (c *compiler) genStackProc(idx int, pd *lang.ProcDecl, isEntry bool, stackB
 		return nil, errAt(pd.Pos, "procedure %q has too many parameters for the stack backend", pd.Name)
 	}
 
-	g.pushScope()
-	g.newBlock(pd.Pos)
+	// The parameters take frame slots 0..n-1.
+	g.enter(pd)
 	if isEntry {
-		g.emit(minivm.Instr{Op: minivm.OpConst, A: g.fp, Imm: stackBase})
-		for i, p := range pd.Params {
-			slot := g.declare(p)
-			g.emit(minivm.Instr{Op: minivm.OpStore, A: uint8(i), B: g.fp, Imm: int64(slot)})
-		}
-	} else {
-		// Claim the parameter slots the caller populated.
-		for _, p := range pd.Params {
-			g.declare(p)
+		g.emit(minivm.Instr{Op: minivm.OpConst, A: g.fp, Imm: int64(c.globalWords)})
+		for i := range pd.Params {
+			g.emit(minivm.Instr{Op: minivm.OpStore, A: uint8(i), B: g.fp, Imm: int64(i)})
 		}
 	}
-	_ = nargs
-	g.genBlockStmt(pd.Body)
-	if g.err != nil {
-		return nil, g.err
-	}
-	// Implicit return 0.
-	g.emit(minivm.Instr{Op: minivm.OpConst, A: g.rA, Imm: 0})
-	g.cur.Term = minivm.Term{Kind: minivm.TermRet, Ret: g.rA}
-	for _, fx := range g.fixups {
-		if !fx.lbl.bound {
-			return nil, errAt(pd.Pos, "internal: unbound label in %q", pd.Name)
-		}
-		*fx.slot = fx.lbl.blk
+	if err := g.finish(pd); err != nil {
+		return nil, err
 	}
 	// Patch frame-size immediates now that the frame extent is known.
 	if g.maxSlots > slotBase {
 		return nil, errAt(pd.Pos, "procedure %q has too many locals for the stack backend", pd.Name)
 	}
-	g.frameWords = slotBase + g.maxDepth
 	for _, ff := range g.frameFix {
-		g.proc.Blocks[ff.blk].Instr[ff.idx].Imm = int64(g.frameWords)
+		g.proc.Blocks[ff.blk].Instr[ff.idx].Imm = int64(slotBase + g.maxDepth)
 	}
 	return g.proc, nil
 }
 
-func (g *stackGen) fail(pos lang.Pos, format string, args ...any) {
-	if g.err == nil {
-		g.err = errAt(pos, format, args...)
+// newLocal gives a local the first frame slot no visible local holds:
+// slots are reused once their scope closes.
+func (g *stackGen) newLocal() int {
+	slot := 0
+	for _, s := range g.scopes {
+		slot += len(s)
 	}
-}
-
-func (g *stackGen) pushScope() { g.scopes = append(g.scopes, map[string]int{}) }
-func (g *stackGen) popScope() {
-	top := g.scopes[len(g.scopes)-1]
-	g.slots -= len(top)
-	g.scopes = g.scopes[:len(g.scopes)-1]
-}
-
-func (g *stackGen) declare(name string) int {
-	top := g.scopes[len(g.scopes)-1]
-	if _, dup := top[name]; dup {
-		g.fail(g.pos, "duplicate variable %q", name)
-		return 0
-	}
-	slot := g.slots
-	g.slots++
-	if g.slots > g.maxSlots {
-		g.maxSlots = g.slots
-	}
-	top[name] = slot
+	g.maxSlots = max(g.maxSlots, slot+1)
 	return slot
 }
 
-func (g *stackGen) lookup(name string) (int, bool) {
-	for i := len(g.scopes) - 1; i >= 0; i-- {
-		if s, ok := g.scopes[i][name]; ok {
-			return s, true
-		}
+func (g *stackGen) setLocal(slot int, e lang.Expr) {
+	r := g.value(e)
+	g.emit(minivm.Instr{Op: minivm.OpStore, A: r, B: g.fp, Imm: int64(slot)})
+}
+
+func (g *stackGen) value(e lang.Expr) uint8 {
+	if e == nil {
+		g.emit(minivm.Instr{Op: minivm.OpConst, A: g.rA, Imm: 0})
+	} else {
+		g.genExpr(e)
+		g.popTo(g.rA)
 	}
-	return 0, false
+	return g.rA
 }
 
-func (g *stackGen) emit(in minivm.Instr) { g.cur.Instr = append(g.cur.Instr, in) }
-
-func (g *stackGen) newBlock(pos lang.Pos) *minivm.Block {
-	b := &minivm.Block{
-		Index: len(g.proc.Blocks),
-		Proc:  g.proc,
-		Line:  pos.Line,
-		Col:   pos.Col,
+func (g *stackGen) operands(l, r lang.Expr) (a, b uint8) {
+	if r == nil {
+		g.value(l)
+		g.emit(minivm.Instr{Op: minivm.OpConst, A: g.rB, Imm: 0})
+		return g.rA, g.rB
 	}
-	g.proc.Blocks = append(g.proc.Blocks, b)
-	g.cur = b
-	return b
+	g.genExpr(l)
+	g.genExpr(r)
+	g.popTo(g.rB)
+	g.popTo(g.rA)
+	return g.rA, g.rB
 }
 
-func (g *stackGen) newLabel() *label { return &label{} }
-
-func (g *stackGen) bind(l *label, pos lang.Pos) {
-	b := g.newBlock(pos)
-	l.blk = b.Index
-	l.bound = true
-}
-
-func (g *stackGen) jumpTo(l *label) {
-	g.cur.Term = minivm.Term{Kind: minivm.TermJump}
-	g.fixups = append(g.fixups, fixup{lbl: l, slot: &g.cur.Term.Target})
-}
-
-func (g *stackGen) branchTo(cond minivm.CondOp, a, b uint8, t, f *label) {
-	g.cur.Term = minivm.Term{Kind: minivm.TermBranch, Cond: cond, A: a, B: b}
-	g.fixups = append(g.fixups, fixup{lbl: t, slot: &g.cur.Term.Target})
-	g.fixups = append(g.fixups, fixup{lbl: f, slot: &g.cur.Term.Else})
-}
+// release has nothing to free: popping the values already did.
+func (g *stackGen) release(int) {}
 
 // Operand-stack primitives. The stack occupies frame words
 // [maxSlots, maxSlots+depth); since maxSlots grows during generation,
@@ -263,4 +152,99 @@ func (g *stackGen) pushFrom(r uint8) {
 func (g *stackGen) popTo(r uint8) {
 	g.depth--
 	g.emit(minivm.Instr{Op: minivm.OpLoad, A: r, B: g.fp, Imm: int64(slotBase + g.depth)})
+}
+
+// genExpr evaluates e, leaving exactly one value on the operand stack.
+func (g *stackGen) genExpr(e lang.Expr) {
+	if g.err != nil {
+		return
+	}
+	if isBoolExpr(e) {
+		// Both arms push one value; track depth once.
+		depth := g.depth
+		g.genBoolValue(e, func(v int64) {
+			g.depth = depth
+			g.emit(minivm.Instr{Op: minivm.OpConst, A: g.rA, Imm: v})
+			g.pushFrom(g.rA)
+		})
+		return
+	}
+	switch x := e.(type) {
+	case *lang.NumberExpr:
+		g.emit(minivm.Instr{Op: minivm.OpConst, A: g.rA, Imm: x.Val})
+		g.pushFrom(g.rA)
+	case *lang.IdentExpr:
+		if slot, ok := g.lookup(x.Name); ok {
+			g.emit(minivm.Instr{Op: minivm.OpLoad, A: g.rA, B: g.fp, Imm: int64(slot)})
+			g.pushFrom(g.rA)
+			return
+		}
+		addr, ok := g.scalarGlobal(x.Name, x.Pos, "used")
+		if !ok {
+			return
+		}
+		g.emit(minivm.Instr{Op: minivm.OpConst, A: g.rB, Imm: 0})
+		g.emit(minivm.Instr{Op: minivm.OpLoad, A: g.rA, B: g.rB, Imm: addr})
+		g.pushFrom(g.rA)
+	case *lang.IndexExpr:
+		addr, ok := g.arrayGlobal(x.Name, x.Pos)
+		if !ok {
+			return
+		}
+		g.genExpr(x.Index)
+		g.popTo(g.rB)
+		g.emit(minivm.Instr{Op: minivm.OpLoad, A: g.rA, B: g.rB, Imm: addr})
+		g.pushFrom(g.rA)
+	case *lang.CallExpr:
+		g.genCall(x)
+	case *lang.UnaryExpr:
+		switch x.Op {
+		case lang.Minus, lang.Tilde:
+			op := minivm.OpNeg
+			if x.Op == lang.Tilde {
+				op = minivm.OpNot
+			}
+			g.genExpr(x.X)
+			g.popTo(g.rA)
+			g.emit(minivm.Instr{Op: op, A: g.rA, B: g.rA})
+			g.pushFrom(g.rA)
+		default:
+			g.fail(x.Pos, "internal: bad unary op %s", x.Op)
+		}
+	case *lang.BinaryExpr:
+		op, ok := arithOps[x.Op]
+		if !ok {
+			g.fail(x.Pos, "internal: bad binary op %s", x.Op)
+			return
+		}
+		g.operands(x.L, x.R)
+		g.emit(minivm.Instr{Op: op, A: g.rA, B: g.rA, C: g.rB})
+		g.pushFrom(g.rA)
+	default:
+		g.fail(e.ExprPos(), "internal: unknown expression %T", e)
+	}
+}
+
+func (g *stackGen) genCall(x *lang.CallExpr) {
+	if x.Name == "main" {
+		g.fail(x.Pos, "the stack backend does not support calling main")
+		return
+	}
+	idx, ok := g.callee(x)
+	if !ok {
+		return
+	}
+	// Evaluate arguments onto our operand stack, then compute the callee
+	// frame pointer and spill them into the callee's parameter slots.
+	for _, a := range x.Args {
+		g.genExpr(a)
+	}
+	g.emit(minivm.Instr{Op: minivm.OpAddI, A: g.rAddr, B: g.fp, Imm: 0 /* frame size */})
+	g.frameFix = append(g.frameFix, struct{ blk, idx int }{g.cur.Index, len(g.cur.Instr) - 1})
+	for i := len(x.Args) - 1; i >= 0; i-- {
+		g.popTo(g.rA)
+		g.emit(minivm.Instr{Op: minivm.OpStore, A: g.rA, B: g.rAddr, Imm: int64(i)})
+	}
+	g.call(x, idx, []uint8{g.rAddr}, g.rA)
+	g.pushFrom(g.rA)
 }
