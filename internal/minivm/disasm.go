@@ -50,35 +50,3 @@ func (t Term) String() string {
 		return "halt"
 	}
 }
-
-// Disasm renders the block with its global ID, line info and terminator.
-func (b *Block) Disasm() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "  b%d (#%d, line %d):\n", b.Index, b.ID, b.Line)
-	for _, in := range b.Instr {
-		fmt.Fprintf(&sb, "    %s\n", in)
-	}
-	fmt.Fprintf(&sb, "    %s\n", b.Term)
-	return sb.String()
-}
-
-// Disasm renders the whole procedure.
-func (pr *Proc) Disasm() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "proc %s (args=%d regs=%d):\n", pr.Name, pr.NumArgs, pr.NumRegs)
-	for _, b := range pr.Blocks {
-		sb.WriteString(b.Disasm())
-	}
-	return sb.String()
-}
-
-// Disasm renders the whole program, procedure by procedure.
-func (p *Program) Disasm() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "program: entry=%s globals=%d words, %d blocks\n",
-		p.EntryProc().Name, p.GlobalWords, p.NumBlocks)
-	for _, pr := range p.Procs {
-		sb.WriteString(pr.Disasm())
-	}
-	return sb.String()
-}

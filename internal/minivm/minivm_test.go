@@ -274,7 +274,7 @@ func TestRunRefusesInvalidProgram(t *testing.T) {
 
 func TestDisasmMentionsEverything(t *testing.T) {
 	p := buildProg(t)
-	d := p.Disasm()
+	d := Print(p)
 	for _, want := range []string{"proc main", "const", "add", "br", "jump", "ret", "out"} {
 		if !strings.Contains(d, want) {
 			t.Errorf("disassembly missing %q:\n%s", want, d)

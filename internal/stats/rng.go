@@ -97,9 +97,6 @@ func NewProjection(in, out int, seed uint64) *Projection {
 	return &Projection{in: in, out: out, m: m}
 }
 
-// In reports the input dimensionality.
-func (p *Projection) In() int { return p.in }
-
 // Out reports the output dimensionality.
 func (p *Projection) Out() int { return p.out }
 
@@ -122,32 +119,11 @@ func (p *Projection) Apply(v []float64) []float64 {
 	return out
 }
 
-// ApplySparse projects a sparse vector given as parallel index/value
-// slices, avoiding a dense intermediate for large BBVs.
-func (p *Projection) ApplySparse(idx []int, val []float64) []float64 {
-	out := make([]float64, p.out)
-	for o := 0; o < p.out; o++ {
-		row := p.m[o*p.in : (o+1)*p.in]
-		var s float64
-		for j, i := range idx {
-			s += row[i] * val[j]
-		}
-		out[o] = s
-	}
-	return out
-}
-
-// ApplySparse32 is ApplySparse for int32 index slices, the BBV storage
-// width, so callers need not widen indices into a scratch []int first.
-func (p *Projection) ApplySparse32(idx []int32, val []float64) []float64 {
-	out := make([]float64, p.out)
-	p.ApplySparse32Into(out, idx, val)
-	return out
-}
-
-// ApplySparse32Into projects into a caller-provided destination of
-// length Out, allocating nothing. dst is overwritten, not accumulated
-// into.
+// ApplySparse32Into projects a sparse vector, given as parallel
+// index/value slices with the BBV storage's int32 indices, into a
+// caller-provided destination of length Out. It avoids a dense
+// intermediate for large BBVs and allocates nothing. dst is overwritten,
+// not accumulated into.
 func (p *Projection) ApplySparse32Into(dst []float64, idx []int32, val []float64) {
 	if len(dst) != p.out {
 		panic("stats: projection destination length mismatch")

@@ -22,8 +22,8 @@ var errComputePanicked = errors.New("store: compute panicked")
 // ran compute.
 //
 // The same re-entrancy contract as Store.GetOrCompute applies: compute
-// runs with no lock held, so it may Do other keys (or other Memos), but
-// re-entering its own key deadlocks.
+// runs with no lock held, so it may compute other keys (or other Memos)
+// through DoOutcome, but re-entering its own key deadlocks.
 type Memo[K comparable, V any] struct {
 	mu sync.Mutex
 	m  map[K]*memoEntry[V]
@@ -41,18 +41,12 @@ type memoFlight[V any] struct {
 	err error
 }
 
-// Do returns the cached value for k, joins an in-flight computation, or
-// runs compute itself.
-func (m *Memo[K, V]) Do(k K, compute func() (V, error)) (V, error) {
-	v, _, err := m.DoOutcome(k, compute)
-	return v, err
-}
-
-// DoOutcome is Do plus the cache outcome, so request-scoped telemetry can
-// tag each memoized pipeline stage the same way the artifact store tags
-// whole responses: Hit (the value was already cached), Joined (waited on
-// another caller's in-flight compute), or Computed (this caller ran
-// compute).
+// DoOutcome returns the cached value for k, joins an in-flight
+// computation, or runs compute itself. It also reports which of the three
+// happened, so request-scoped telemetry can tag each memoized pipeline
+// stage the same way the artifact store tags whole responses: Hit (the
+// value was already cached), Joined (waited on another caller's in-flight
+// compute), or Computed (this caller ran compute).
 func (m *Memo[K, V]) DoOutcome(k K, compute func() (V, error)) (V, Outcome, error) {
 	m.mu.Lock()
 	if m.m == nil {

@@ -255,21 +255,21 @@ func TestOpenRejectsUnusableDir(t *testing.T) {
 func TestMemoComputeOnceAndErrorRetry(t *testing.T) {
 	var m Memo[string, int]
 	computes := 0
-	v, err := m.Do("k", func() (int, error) { computes++; return 7, nil })
-	if err != nil || v != 7 {
-		t.Fatalf("first Do: %d, %v", v, err)
+	v, out, err := m.DoOutcome("k", func() (int, error) { computes++; return 7, nil })
+	if err != nil || v != 7 || out != Computed {
+		t.Fatalf("first DoOutcome: %d, %v, %v", v, out, err)
 	}
-	v, err = m.Do("k", func() (int, error) { computes++; return -1, nil })
-	if err != nil || v != 7 || computes != 1 {
-		t.Fatalf("cached Do: %d, %v (computes %d)", v, err, computes)
+	v, out, err = m.DoOutcome("k", func() (int, error) { computes++; return -1, nil })
+	if err != nil || v != 7 || out != Hit || computes != 1 {
+		t.Fatalf("cached DoOutcome: %d, %v, %v (computes %d)", v, out, err, computes)
 	}
 
 	boom := errors.New("boom")
-	if _, err := m.Do("e", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
-		t.Fatalf("error Do: %v", err)
+	if _, _, err := m.DoOutcome("e", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
+		t.Fatalf("error DoOutcome: %v", err)
 	}
-	if v, err := m.Do("e", func() (int, error) { return 3, nil }); err != nil || v != 3 {
-		t.Fatalf("retry Do: %d, %v", v, err)
+	if v, _, err := m.DoOutcome("e", func() (int, error) { return 3, nil }); err != nil || v != 3 {
+		t.Fatalf("retry DoOutcome: %d, %v", v, err)
 	}
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", m.Len())
@@ -287,14 +287,14 @@ func TestMemoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, err := m.Do(1, func() (string, error) {
+			v, _, err := m.DoOutcome(1, func() (string, error) {
 				computes.Add(1)
 				once.Do(func() { close(started) })
 				<-release
 				return "v", nil
 			})
 			if err != nil || v != "v" {
-				t.Errorf("Do: %q, %v", v, err)
+				t.Errorf("DoOutcome: %q, %v", v, err)
 			}
 		}()
 	}
@@ -311,11 +311,12 @@ func TestMemoChainedKeysDoNotDeadlock(t *testing.T) {
 	// trace, which computes from a marker set, which computes from a
 	// graph. No lock may be held across a compute call.
 	var m Memo[string, int]
-	v, err := m.Do("outer", func() (int, error) {
-		return m.Do("inner", func() (int, error) { return 1, nil })
+	v, _, err := m.DoOutcome("outer", func() (int, error) {
+		v, _, err := m.DoOutcome("inner", func() (int, error) { return 1, nil })
+		return v, err
 	})
 	if err != nil || v != 1 {
-		t.Fatalf("chained Do: %d, %v", v, err)
+		t.Fatalf("chained DoOutcome: %d, %v", v, err)
 	}
 }
 
@@ -344,7 +345,7 @@ func TestMemoComputePanicReleasesKey(t *testing.T) {
 		recovered := make(chan any, 1)
 		go func() {
 			defer func() { recovered <- recover() }()
-			m.Do(k, func() (int, error) {
+			m.DoOutcome(k, func() (int, error) {
 				close(started)
 				<-release
 				panic("boom")
