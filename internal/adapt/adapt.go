@@ -58,8 +58,8 @@ type Source struct {
 	Loops    *minivm.Loops   // optional cached loop table for SPM
 }
 
+// multiCache simulates all NumConfigs configurations side by side.
 type multiCache struct {
-	minivm.NopObserver
 	caches   [NumConfigs]*uarch.Cache
 	accesses uint64
 	misses   [NumConfigs]uint64
@@ -75,11 +75,7 @@ func newMultiCache() *multiCache {
 	return mc
 }
 
-// ObservedEvents implements minivm.EventMasker.
-func (mc *multiCache) ObservedEvents() minivm.EventMask { return minivm.EvMem }
-
-// OnMem implements minivm.Observer.
-func (mc *multiCache) OnMem(addr uint64, write bool) {
+func (mc *multiCache) access(addr uint64) {
 	mc.accesses++
 	for i, c := range mc.caches {
 		if !c.Access(addr) {
@@ -88,7 +84,12 @@ func (mc *multiCache) OnMem(addr uint64, write bool) {
 	}
 }
 
+// segmenter is a run's one machine observer: the boundary source, whose
+// firings cut intervals, then the BBV touch (fixed-length runs only), and
+// the multi-configuration caches on memory references.
 type segmenter struct {
+	minivm.NopObserver
+	boundary  minivm.Observer
 	mc        *multiCache
 	intervals []Interval
 	lastAcc   uint64
@@ -96,10 +97,31 @@ type segmenter struct {
 	lastCut   uint64
 	phase     int
 
-	bbvAcc  *bbv.Accumulator
-	bbvs    []bbv.Vector
-	collect bool
+	bbvAcc *bbv.Accumulator // nil unless collecting BBVs
+	bbvs   []bbv.Vector
 }
+
+// ObservedEvents implements minivm.EventMasker.
+func (s *segmenter) ObservedEvents() minivm.EventMask {
+	return minivm.MaskOf(s.boundary) | minivm.EvMem
+}
+
+// OnBlock implements minivm.Observer.
+func (s *segmenter) OnBlock(b *minivm.Block) {
+	s.boundary.OnBlock(b)
+	if s.bbvAcc != nil {
+		s.bbvAcc.Touch(b.ID, b.Weight())
+	}
+}
+
+// OnCall implements minivm.Observer.
+func (s *segmenter) OnCall(site *minivm.Block, callee *minivm.Proc) { s.boundary.OnCall(site, callee) }
+
+// OnReturn implements minivm.Observer.
+func (s *segmenter) OnReturn(callee *minivm.Proc) { s.boundary.OnReturn(callee) }
+
+// OnMem implements minivm.Observer.
+func (s *segmenter) OnMem(addr uint64, write bool) { s.mc.access(addr) }
 
 func (s *segmenter) cut(phase int, at uint64) {
 	if at == s.lastCut {
@@ -111,7 +133,7 @@ func (s *segmenter) cut(phase int, at uint64) {
 		iv.Misses[i] = s.mc.misses[i] - s.lastMiss[i]
 	}
 	s.intervals = append(s.intervals, iv)
-	if s.collect {
+	if s.bbvAcc != nil {
 		s.bbvs = append(s.bbvs, s.bbvAcc.Snapshot())
 	}
 	s.lastCut = at
@@ -123,34 +145,26 @@ func (s *segmenter) cut(phase int, at uint64) {
 // Run executes prog under the multi-configuration cache simulation,
 // cutting intervals per src.
 func Run(prog *minivm.Program, args []int64, src Source) (*RunResult, error) {
-	mc := newMultiCache()
-	seg := &segmenter{mc: mc, phase: -1}
-
-	var obs minivm.MultiObserver
+	seg := &segmenter{mc: newMultiCache(), phase: -1}
 	switch {
 	case src.FixedLen > 0:
-		seg.collect = true
 		seg.bbvAcc = bbv.NewAccumulator(prog.NumBlocks)
-		obs = append(obs, trace.NewFixedCutter(src.FixedLen, func(at uint64) {
+		seg.boundary = trace.NewFixedCutter(src.FixedLen, func(at uint64) {
 			seg.cut(-1, at)
-		}))
-		obs = append(obs, trace.BBVObserver{Acc: seg.bbvAcc})
+		})
 	case src.SPM != nil:
-		det := core.NewDetector(prog, src.Loops, src.SPM, func(marker int, at uint64) {
+		seg.boundary = core.NewDetector(prog, src.Loops, src.SPM, func(marker int, at uint64) {
 			seg.cut(marker, at)
 		})
-		obs = append(obs, det)
 	case src.Reuse != nil:
-		det := reuse.NewDetector(src.Reuse, func(phase int, at uint64) {
+		seg.boundary = reuse.NewDetector(src.Reuse, func(phase int, at uint64) {
 			seg.cut(phase, at)
 		})
-		obs = append(obs, det)
 	default:
 		return nil, fmt.Errorf("adapt: empty source")
 	}
-	obs = append(obs, mc)
 
-	m := minivm.NewMachine(prog, obs)
+	m := minivm.NewMachine(prog, seg)
 	if _, err := m.Run(args...); err != nil {
 		return nil, fmt.Errorf("adapt: run failed: %w", err)
 	}

@@ -8,7 +8,8 @@ import (
 )
 
 // Profiler accumulates a call-loop graph from an execution. Use it as the
-// machine's Observer (directly or inside a MultiObserver), then read Graph.
+// machine's Observer (or call its methods from a composite observer), then
+// read Graph.
 type Profiler struct {
 	*Walker
 	g *Graph

@@ -51,8 +51,8 @@ type walkEdge struct {
 // opening and closing edges of the (virtual) call-loop graph and measuring
 // hierarchical instruction counts.
 //
-// Wire it to a Machine as the Observer (fan in with MultiObserver to
-// combine with others).
+// Wire it to a Machine as the Observer, or call its methods from a
+// composite observer that runs it alongside other analyses.
 type Walker struct {
 	prog     *minivm.Program
 	loops    *minivm.Loops

@@ -46,11 +46,11 @@ const (
 )
 
 // EventMasker is optionally implemented by Observers to declare which
-// events they actually consume. The machine builds one dispatch list per
-// event kind from the masks, so an event nobody consumes costs no observer
-// call at all (the paper's §4 concern: instrumentation overhead on events
-// the analysis never reads). Observers without the method receive every
-// event, exactly as before the masks existed.
+// events they actually consume. The machine resolves the observer once per
+// event kind from the mask, so an event the observer does not consume
+// costs no call at all (the paper's §4 concern: instrumentation overhead
+// on events the analysis never reads). Observers without the method
+// receive every event.
 //
 // The mask must be a static property of the observer: the machine reads it
 // once at construction.
@@ -90,114 +90,6 @@ func (NopObserver) OnBranch(*Block, bool) {}
 
 // OnMem implements Observer.
 func (NopObserver) OnMem(uint64, bool) {}
-
-// MultiObserver fans events out to several observers in order. The machine
-// flattens it at construction into per-event dispatch lists, so nesting
-// MultiObservers or including no-op observers costs nothing at run time;
-// calling its methods directly (outside a Machine) fans out dynamically.
-type MultiObserver []Observer
-
-// ObservedEvents implements EventMasker as the union of the members'
-// masks.
-func (m MultiObserver) ObservedEvents() EventMask {
-	var ev EventMask
-	for _, o := range m {
-		ev |= MaskOf(o)
-	}
-	return ev
-}
-
-// OnBlock implements Observer.
-func (m MultiObserver) OnBlock(b *Block) {
-	for _, o := range m {
-		o.OnBlock(b)
-	}
-}
-
-// OnCall implements Observer.
-func (m MultiObserver) OnCall(site *Block, callee *Proc) {
-	for _, o := range m {
-		o.OnCall(site, callee)
-	}
-}
-
-// OnReturn implements Observer.
-func (m MultiObserver) OnReturn(callee *Proc) {
-	for _, o := range m {
-		o.OnReturn(callee)
-	}
-}
-
-// OnBranch implements Observer.
-func (m MultiObserver) OnBranch(b *Block, taken bool) {
-	for _, o := range m {
-		o.OnBranch(b, taken)
-	}
-}
-
-// OnMem implements Observer.
-func (m MultiObserver) OnMem(addr uint64, write bool) {
-	for _, o := range m {
-		o.OnMem(addr, write)
-	}
-}
-
-// maskedObserver pairs an observer with an overriding event mask (see
-// Masked).
-type maskedObserver struct {
-	Observer
-	mask EventMask
-}
-
-// ObservedEvents implements EventMasker with the overriding mask.
-func (mo maskedObserver) ObservedEvents() EventMask { return mo.mask }
-
-// Masked restricts o to the given events (intersected with o's own mask).
-// Use it when a composite pipeline handles some of an observer's events
-// through another path — e.g. folding its block accounting into a fused
-// observer — and the machine must not also dispatch those events to o
-// directly. NewMachine unwraps the wrapper when building its dispatch
-// lists, so masking costs nothing per event.
-func Masked(o Observer, mask EventMask) Observer {
-	return maskedObserver{Observer: o, mask: mask & MaskOf(o)}
-}
-
-// sink is the per-event dispatch list: the common shapes (no observer for
-// the event, exactly one) are dedicated fields so the hot loop pays one
-// nil check and a direct interface call instead of ranging over a slice;
-// two or more observers fall back to the slice.
-type sink struct {
-	one  Observer   // set iff exactly one observer consumes the event
-	many []Observer // set iff two or more do
-}
-
-func (s *sink) set(obs []Observer) {
-	switch len(obs) {
-	case 0:
-	case 1:
-		s.one = obs[0]
-	default:
-		s.many = obs
-	}
-}
-
-// flattenObservers expands nested MultiObservers into a flat ordered list,
-// dropping observers whose mask is empty.
-func flattenObservers(o Observer, out []Observer) []Observer {
-	if o == nil {
-		return out
-	}
-	if m, ok := o.(MultiObserver); ok {
-		for _, sub := range m {
-			out = flattenObservers(sub, out)
-		}
-		return out
-	}
-	if MaskOf(o) == 0 {
-		return out
-	}
-	return append(out, o)
-}
 
 // Runtime errors surfaced by the interpreter.
 var (
@@ -242,14 +134,13 @@ type Machine struct {
 	mem  []int64
 	err  error // validation failure, returned by every Run
 
-	// Per-event observer dispatch, built once from the observer passed to
-	// NewMachine (see EventMasker). An empty sink means the event is not
-	// emitted at all.
-	onBlock  sink
-	onCall   sink
-	onRet    sink
-	onBranch sink
-	onMem    sink
+	// The observer passed to NewMachine, once per event kind: nil where
+	// its EventMask excludes the kind, so that event is not emitted.
+	onBlock  Observer
+	onCall   Observer
+	onRet    Observer
+	onBranch Observer
+	onMem    Observer
 
 	// regs is the register arena: each frame owns the words
 	// [frame.base, frame.base+frame.proc.NumRegs). Calls extend it and
@@ -279,9 +170,9 @@ type Machine struct {
 // program fails never executes, and its Run returns an error wrapping
 // ErrInvalidProgram. The interpreter relies on that check for memory
 // safety of its register windows, so prog must not change after
-// NewMachine. The observer's per-event dispatch is resolved here, once:
-// nested MultiObservers are flattened and every event kind gets its own
-// direct call list, filtered by the observers' EventMasks.
+// NewMachine. The observer's EventMask is read here, once. A caller that
+// needs several analyses composes them into one observer, in the order
+// its analysis requires.
 func NewMachine(prog *Program, observer Observer) *Machine {
 	m := &Machine{
 		prog:      prog,
@@ -293,34 +184,15 @@ func NewMachine(prog *Program, observer Observer) *Machine {
 		return m
 	}
 	m.mem = make([]int64, prog.GlobalWords)
-	flat := flattenObservers(observer, nil)
-	var block, call, ret, branch, mem []Observer
-	for _, o := range flat {
-		ev := MaskOf(o)
-		if mo, ok := o.(maskedObserver); ok {
-			o = mo.Observer // dispatch straight to the wrapped observer
+	ev := MaskOf(observer)
+	on := func(kind EventMask) Observer {
+		if ev&kind == 0 {
+			return nil
 		}
-		if ev&EvBlock != 0 {
-			block = append(block, o)
-		}
-		if ev&EvCall != 0 {
-			call = append(call, o)
-		}
-		if ev&EvReturn != 0 {
-			ret = append(ret, o)
-		}
-		if ev&EvBranch != 0 {
-			branch = append(branch, o)
-		}
-		if ev&EvMem != 0 {
-			mem = append(mem, o)
-		}
+		return observer
 	}
-	m.onBlock.set(block)
-	m.onCall.set(call)
-	m.onRet.set(ret)
-	m.onBranch.set(branch)
-	m.onMem.set(mem)
+	m.onBlock, m.onCall, m.onRet = on(EvBlock), on(EvCall), on(EvReturn)
+	m.onBranch, m.onMem = on(EvBranch), on(EvMem)
 	return m
 }
 
@@ -409,9 +281,8 @@ func window(regs []int64, base int) *[regWindow]int64 {
 // (copied into the entry proc's first registers). It returns the entry
 // procedure's return value (0 if it halts without returning).
 //
-// The hot loop emits observer events through the per-event sinks resolved
-// in NewMachine: no event nobody consumes is dispatched, a single consumer
-// is called directly, and only genuinely shared events range over a list.
+// The hot loop emits each event kind the observer consumes with one nil
+// check and one call; the other kinds are not dispatched.
 func (m *Machine) Run(args ...int64) (int64, error) {
 	if m.err != nil {
 		return 0, m.err
@@ -430,12 +301,8 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 
 	for {
 		b := fr.proc.Blocks[bi]
-		if o := m.onBlock.one; o != nil {
+		if o := m.onBlock; o != nil {
 			o.OnBlock(b)
-		} else if m.onBlock.many != nil {
-			for _, o := range m.onBlock.many {
-				o.OnBlock(b)
-			}
 		}
 		m.instrs += uint64(b.Weight())
 		if m.instrs > m.MaxInstrs {
@@ -489,12 +356,8 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 					return 0, fmt.Errorf("%w: load word %d in %s b%d", ErrMemFault, addr, fr.proc.Name, b.Index)
 				}
 				m.memRefs++
-				if o := m.onMem.one; o != nil {
+				if o := m.onMem; o != nil {
 					o.OnMem(uint64(addr)*WordBytes, false)
-				} else if m.onMem.many != nil {
-					for _, o := range m.onMem.many {
-						o.OnMem(uint64(addr)*WordBytes, false)
-					}
 				}
 				regs[in.A] = m.mem[addr]
 			case OpStore:
@@ -503,12 +366,8 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 					return 0, fmt.Errorf("%w: store word %d in %s b%d", ErrMemFault, addr, fr.proc.Name, b.Index)
 				}
 				m.memRefs++
-				if o := m.onMem.one; o != nil {
+				if o := m.onMem; o != nil {
 					o.OnMem(uint64(addr)*WordBytes, true)
-				} else if m.onMem.many != nil {
-					for _, o := range m.onMem.many {
-						o.OnMem(uint64(addr)*WordBytes, true)
-					}
 				}
 				m.mem[addr] = regs[in.A]
 			case OpOut:
@@ -528,12 +387,8 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 		case TermBranch:
 			m.branches++
 			taken := t.Cond.Eval(regs[t.A], regs[t.B])
-			if o := m.onBranch.one; o != nil {
+			if o := m.onBranch; o != nil {
 				o.OnBranch(b, taken)
-			} else if m.onBranch.many != nil {
-				for _, o := range m.onBranch.many {
-					o.OnBranch(b, taken)
-				}
 			}
 			if taken {
 				bi = t.Target
@@ -554,12 +409,8 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 			for i, a := range t.Args {
 				dst[i] = src[a]
 			}
-			if o := m.onCall.one; o != nil {
+			if o := m.onCall; o != nil {
 				o.OnCall(b, callee)
-			} else if m.onCall.many != nil {
-				for _, o := range m.onCall.many {
-					o.OnCall(b, callee)
-				}
 			}
 			m.frames = append(m.frames, frame{
 				proc:   callee,
@@ -571,12 +422,8 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 			bi = 0
 		case TermRet:
 			rv := regs[t.Ret]
-			if o := m.onRet.one; o != nil {
+			if o := m.onRet; o != nil {
 				o.OnReturn(fr.proc)
-			} else if m.onRet.many != nil {
-				for _, o := range m.onRet.many {
-					o.OnReturn(fr.proc)
-				}
 			}
 			if len(m.frames) == 1 {
 				return rv, nil
@@ -590,15 +437,9 @@ func (m *Machine) Run(args ...int64) (int64, error) {
 		case TermHalt:
 			// Unwind observers for any active frames so profilers see a
 			// balanced call/return stream.
-			if m.onRet.one != nil || m.onRet.many != nil {
+			if o := m.onRet; o != nil {
 				for i := len(m.frames) - 1; i >= 0; i-- {
-					if o := m.onRet.one; o != nil {
-						o.OnReturn(m.frames[i].proc)
-					} else {
-						for _, o := range m.onRet.many {
-							o.OnReturn(m.frames[i].proc)
-						}
-					}
+					o.OnReturn(m.frames[i].proc)
 				}
 			}
 			return 0, nil

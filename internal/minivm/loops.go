@@ -131,8 +131,8 @@ type LoopEvents interface {
 
 // LoopTracker reconstructs loop enter/iterate/exit events from the block
 // execution stream, maintaining a per-frame stack of active loops. It
-// implements Observer so it can be fanned in via MultiObserver, and
-// forwards nothing else.
+// implements Observer, so it can drive a Machine on its own or be called
+// from a composite observer's methods, and forwards nothing else.
 type LoopTracker struct {
 	NopObserver
 	loops  *Loops

@@ -178,14 +178,76 @@ func TestObserverEventCounts(t *testing.T) {
 	}
 }
 
-func TestMultiObserverFansOut(t *testing.T) {
-	p := buildProg(t)
-	a, b := &countingObs{}, &countingObs{}
-	if _, err := NewMachine(p, MultiObserver{a, b}).Run(3); err != nil {
+// buildCallMemProg assembles a program that emits every event kind:
+//
+//	proc f(x):         mem[0] = x; ret mem[0]
+//	proc main(n):      for i in 0..n-1 { r = f(i) }; ret r
+func buildCallMemProg(t *testing.T) *Program {
+	t.Helper()
+	f := &Proc{Name: "f", NumArgs: 1, NumRegs: 2}
+	f.Blocks = []*Block{{Instr: []Instr{
+		{Op: OpStore, A: 0, B: 1},
+		{Op: OpLoad, A: 1, B: 1},
+	}, Term: Term{Kind: TermRet, Ret: 1}}}
+	main := &Proc{Name: "main", NumArgs: 1, NumRegs: 3}
+	// r0 = n, r1 = i, r2 = f's result
+	main.Blocks = []*Block{
+		{Instr: []Instr{{Op: OpConst, A: 1, Imm: 0}}, Term: Term{Kind: TermJump, Target: 1}},
+		{Term: Term{Kind: TermBranch, Cond: CondLT, A: 1, B: 0, Target: 2, Else: 4}},
+		{Term: Term{Kind: TermCall, Callee: 0, Args: []uint8{1}, Ret: 2, Next: 3}},
+		{Instr: []Instr{{Op: OpAddI, A: 1, B: 1, Imm: 1}}, Term: Term{Kind: TermJump, Target: 1}},
+		{Term: Term{Kind: TermRet, Ret: 2}},
+	}
+	p := &Program{Procs: []*Proc{f, main}, Entry: 1, GlobalWords: 1}
+	f.ID, main.ID = 0, 1
+	p.RenumberBlocks()
+	if err := p.Validate(); err != nil {
+		t.Fatalf("validate: %v", err)
+	}
+	return p
+}
+
+// maskedObs counts only the events its mask declares.
+type maskedObs struct {
+	countingObs
+	mask EventMask
+}
+
+func (o *maskedObs) ObservedEvents() EventMask { return o.mask }
+
+// TestMachineDispatchesMaskedEvents pins the machine's one dispatch path:
+// each event kind reaches the observer iff its EventMask (EvAll without
+// EventMasker) includes the kind, and a nil observer receives nothing.
+func TestMachineDispatchesMaskedEvents(t *testing.T) {
+	p := buildCallMemProg(t)
+	// main b0, three rounds of b1, b2, f, b3, then b1 and b4; three calls
+	// returning plus main's own return; a store and a load per call.
+	all := countingObs{blocks: 15, calls: 3, rets: 4, branches: 4, mems: 6}
+
+	unmasked := &countingObs{}
+	if _, err := NewMachine(p, unmasked).Run(3); err != nil {
 		t.Fatal(err)
 	}
-	if a.blocks != b.blocks || a.blocks == 0 {
-		t.Errorf("fan-out mismatch: %d vs %d", a.blocks, b.blocks)
+	if *unmasked != all {
+		t.Errorf("observer without EventMasker saw %+v, want %+v", *unmasked, all)
+	}
+
+	masked := &maskedObs{mask: EvBlock | EvMem}
+	if _, err := NewMachine(p, masked).Run(3); err != nil {
+		t.Fatal(err)
+	}
+	if want := (countingObs{blocks: all.blocks, mems: all.mems}); masked.countingObs != want {
+		t.Errorf("EvBlock|EvMem observer saw %+v, want %+v", masked.countingObs, want)
+	}
+
+	m := NewMachine(p, nil)
+	rv, err := m.Run(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rv != 2 || m.Calls() != 3 || m.Branches() != 4 || m.MemRefs() != 6 {
+		t.Errorf("nil observer: rv=%d calls=%d branches=%d mem=%d, want 2/3/4/6",
+			rv, m.Calls(), m.Branches(), m.MemRefs())
 	}
 }
 

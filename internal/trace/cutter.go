@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"phasemark/internal/bbv"
-	"phasemark/internal/minivm"
-)
+import "phasemark/internal/minivm"
 
 // FixedCutter is a machine observer that invokes a cut callback every
 // step dynamic instructions, aligned to block boundaries: the cut fires
@@ -49,18 +46,3 @@ func (f *FixedCutter) OnBlock(b *minivm.Block) {
 // repetition boundaries so every repetition is segmented exactly like a
 // fresh run.
 func (f *FixedCutter) Rebase() { f.next = f.instrs + f.step }
-
-// BBVObserver feeds every executed block into a bbv.Accumulator — the
-// shared basic-block-vector collection observer. Order it after the
-// cutter or detector in a MultiObserver so an interval's closing snapshot
-// excludes the block that begins the next interval.
-type BBVObserver struct {
-	minivm.NopObserver
-	Acc *bbv.Accumulator
-}
-
-// ObservedEvents implements minivm.EventMasker.
-func (o BBVObserver) ObservedEvents() minivm.EventMask { return minivm.EvBlock }
-
-// OnBlock implements minivm.Observer.
-func (o BBVObserver) OnBlock(b *minivm.Block) { o.Acc.Touch(b.ID, b.Weight()) }

@@ -15,11 +15,11 @@ import (
 //
 //   - Single execution (Scale <= 1): a record/replay split. The
 //     interpreter runs on a producer goroutine with one flat observer
-//     that encodes every event as a tagged word into a bounded ring of
-//     buffers; the caller goroutine replays the words into the run's
-//     analysisStack in the exact observer sequence the serial path uses
-//     (cutter/detector, timing model, BBV accumulator, collector, and
-//     Sink or the materialized Result).
+//     that encodes every event the run's analysisStack consumes as a
+//     tagged word into a bounded ring of buffers; the caller goroutine
+//     replays the words into the stack's observer methods, the calls the
+//     serial machine makes (cutter/detector, timing model, BBV
+//     accumulator, collector, and Sink or the materialized Result).
 //     The ring gives backpressure — the interpreter traces ahead while
 //     analysis consumes — and replaying the total event order reproduces
 //     every cut, counter, and snapshot by construction.
@@ -187,15 +187,17 @@ func blockTable(p *minivm.Program) []*minivm.Block {
 
 // runSplit is the single-execution record/replay regime: one producer
 // goroutine interprets, the caller replays events through the analysis
-// stack in the serial observer order.
+// stack.
 func runSplit(cfg Config) (*Result, error) {
-	mask := minivm.EvBlock | minivm.EvBranch | minivm.EvMem
-	if cfg.FixedLen == 0 {
-		mask |= minivm.EvCall | minivm.EvReturn
-	}
+	// The analysis stack is constructed exactly as the serial path
+	// constructs it; in marker mode the detector's walker fires
+	// entry-edge opens here, before any event replays, just as
+	// NewDetector does before the serial machine starts. The recorder
+	// records exactly the events the stack consumes.
+	s := newAnalysisStack(cfg, cfg.Sink)
 	stop := make(chan struct{})
 	rec := &eventRecorder{
-		mask:   mask,
+		mask:   s.ObservedEvents(),
 		buf:    make([]uint64, 0, eventBufWords),
 		filled: make(chan []uint64, engineRingBufs),
 		free:   make(chan []uint64, engineRingBufs),
@@ -230,14 +232,10 @@ func runSplit(cfg Config) (*Result, error) {
 	}
 	defer join()
 
-	// The analysis stack is constructed on the consumer side exactly as
-	// the serial path constructs it; in marker mode the detector's
-	// walker fires entry-edge opens here, before any event replays,
-	// just as NewDetector does before the serial machine starts.
-	s := newAnalysisStack(cfg, cfg.Sink)
+	// Replay makes the serial machine's calls on the stack, in recorded
+	// order.
 	blocks := blockTable(cfg.Prog)
 	procs := cfg.Prog.Procs
-	skip := cfg.SkipBBV
 	var total uint64
 	for buf := range rec.filled {
 		for _, w := range buf {
@@ -245,31 +243,20 @@ func runSplit(cfg Config) (*Result, error) {
 			switch w & evTagMask {
 			case evBlock:
 				b := blocks[payload]
-				// Serial dispatch order per block: cutter/detector first
-				// (a cut excludes the block that begins the next
-				// interval), then the timing model and BBV touch.
-				if s.det != nil {
-					s.det.OnBlock(b)
-				} else {
-					s.fixed.OnBlock(b)
-				}
-				s.cpu.OnBlock(b)
-				if !skip {
-					s.col.acc.Touch(b.ID, b.Weight())
-				}
+				s.OnBlock(b)
 				total += uint64(b.Weight())
 			case evBranchT:
-				s.cpu.OnBranch(blocks[payload], true)
+				s.OnBranch(blocks[payload], true)
 			case evBranchN:
-				s.cpu.OnBranch(blocks[payload], false)
+				s.OnBranch(blocks[payload], false)
 			case evLoad:
-				s.cpu.OnMem(payload, false)
+				s.OnMem(payload, false)
 			case evStore:
-				s.cpu.OnMem(payload, true)
+				s.OnMem(payload, true)
 			case evCall:
-				s.det.OnCall(blocks[uint32(payload)], procs[payload>>32])
+				s.OnCall(blocks[uint32(payload)], procs[payload>>32])
 			case evRet:
-				s.det.OnReturn(procs[payload])
+				s.OnReturn(procs[payload])
 			}
 		}
 		rec.free <- buf[:0]

@@ -12,8 +12,8 @@ import (
 )
 
 // TestNoImportShadowing asserts that no local declaration in this package
-// shadows an imported package name. trace.Run once declared
-// `var obs minivm.MultiObserver`, hiding the obs metrics package for the
+// shadows an imported package name. trace.Run once declared a local
+// observer list named obs, hiding the obs metrics package for the
 // rest of the function — the kind of shadow go vet and staticcheck both
 // accept silently, so this test is the guard that keeps it from coming
 // back.

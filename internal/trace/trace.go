@@ -143,23 +143,6 @@ type collector struct {
 // intervalChunk is the Interval arena granularity.
 const intervalChunk = 256
 
-// perfBlockObs folds the timing model's per-block accounting and the BBV
-// accumulator touch into a single observer call on the tracing hot path.
-type perfBlockObs struct {
-	minivm.NopObserver
-	cpu *uarch.CPU
-	acc *bbv.Accumulator
-}
-
-// ObservedEvents implements minivm.EventMasker.
-func (o *perfBlockObs) ObservedEvents() minivm.EventMask { return minivm.EvBlock }
-
-// OnBlock implements minivm.Observer.
-func (o *perfBlockObs) OnBlock(b *minivm.Block) {
-	o.cpu.OnBlock(b)
-	o.acc.Touch(b.ID, b.Weight())
-}
-
 func (c *collector) cut(phase int, at uint64) {
 	if at == c.lastCut {
 		// Several markers firing at the same instant (e.g. a loop-entry
@@ -236,8 +219,9 @@ func (t runTotals) add(o runTotals) runTotals {
 // analysisStack is the one place an analysis run is wired: the timing
 // model, the interval collector, and the boundary source — marker
 // detector or fixed-length cutter — whose firings drive the collector's
-// cuts. The serial path and every rep-parallel worker run it through
-// repeat; the record/replay split replays events into its components.
+// cuts. It is the machine's one observer: the serial path and every
+// rep-parallel worker run it through repeat, and the record/replay split
+// replays recorded events into the same methods.
 type analysisStack struct {
 	cpu   *uarch.CPU
 	col   *collector
@@ -279,6 +263,44 @@ func newAnalysisStack(cfg Config, sink func(chunk []Interval) error) *analysisSt
 	return s
 }
 
+// ObservedEvents implements minivm.EventMasker: the timing model's blocks,
+// branches and memory references, plus calls and returns when a detector
+// walks the call-loop graph.
+func (s *analysisStack) ObservedEvents() minivm.EventMask {
+	ev := minivm.EvBlock | minivm.EvBranch | minivm.EvMem
+	if s.det != nil {
+		ev |= minivm.EvCall | minivm.EvReturn
+	}
+	return ev
+}
+
+// OnBlock implements minivm.Observer in the §3.1 order: the boundary
+// source first, so a cut closes the interval before the block that
+// begins the next one, then the timing model and the BBV touch.
+func (s *analysisStack) OnBlock(b *minivm.Block) {
+	if s.det != nil {
+		s.det.OnBlock(b)
+	} else {
+		s.fixed.OnBlock(b)
+	}
+	s.cpu.OnBlock(b)
+	if !s.col.skipBBV {
+		s.col.acc.Touch(b.ID, b.Weight())
+	}
+}
+
+// OnCall implements minivm.Observer (marker cutting only).
+func (s *analysisStack) OnCall(site *minivm.Block, callee *minivm.Proc) { s.det.OnCall(site, callee) }
+
+// OnReturn implements minivm.Observer (marker cutting only).
+func (s *analysisStack) OnReturn(callee *minivm.Proc) { s.det.OnReturn(callee) }
+
+// OnBranch implements minivm.Observer.
+func (s *analysisStack) OnBranch(b *minivm.Block, taken bool) { s.cpu.OnBranch(b, taken) }
+
+// OnMem implements minivm.Observer.
+func (s *analysisStack) OnMem(addr uint64, write bool) { s.cpu.OnMem(addr, write) }
+
 // fired reports the marker firings so far (none when cutting at fixed
 // lengths).
 func (s *analysisStack) fired() uint64 {
@@ -300,25 +322,7 @@ func (s *analysisStack) fired() uint64 {
 // repetition's totals. repeat returns the sum over its repetitions and
 // stops at the first run, sink, or done error.
 func (s *analysisStack) repeat(cfg Config, first, stride int, done func(runTotals) error) (runTotals, error) {
-	// Named to avoid shadowing the imported obs metrics package (a past
-	// bug; shadow_test.go keeps it from returning).
-	var observers minivm.MultiObserver
-	if s.det != nil {
-		observers = append(observers, s.det)
-	} else {
-		observers = append(observers, s.fixed)
-	}
-	if cfg.SkipBBV {
-		observers = append(observers, s.cpu)
-	} else {
-		// Fuse the timing model's block accounting with BBV collection into
-		// one dispatch, and strip EvBlock from the CPU's own registration so
-		// the machine makes two observer calls per block instead of three.
-		observers = append(observers,
-			&perfBlockObs{cpu: s.cpu, acc: s.col.acc},
-			minivm.Masked(s.cpu, minivm.EvBranch|minivm.EvMem))
-	}
-	m := minivm.NewMachine(cfg.Prog, observers)
+	m := minivm.NewMachine(cfg.Prog, s)
 
 	var sum runTotals
 	for rep := first; rep < max(cfg.Scale, 1); rep += stride {
