@@ -54,7 +54,7 @@ func (s *Suite) fig10One(w *workloads.Workload) (*fig10Eval, error) {
 	}
 
 	// Reuse-distance markers (trained on the train input, like the paper).
-	rmk, err := reuse.Select(d.prog, w.Train, reuse.Options{})
+	rmk, err := reuse.Select(d.prog, w.Train)
 	if err != nil {
 		return nil, err
 	}

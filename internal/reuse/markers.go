@@ -7,40 +7,16 @@ import (
 	"phasemark/internal/minivm"
 )
 
-// Options configures reuse-distance marker selection.
-type Options struct {
-	BlockBytes    int     // granularity of reuse distances (default 64)
-	Window        int     // accesses per signal sample (default 1024)
-	SmoothLevels  int     // Haar smoothing levels (default 3)
-	RelThreshold  float64 // boundary jump as fraction of signal range (default 0.15)
-	MinGapSamples int     // min samples between boundaries (default 4)
-	CorrWindow    uint64  // instr window after a boundary for correlation (default 20000)
-	MinPrecision  float64 // min fraction of a block's executions near boundaries (default 0.5)
-}
-
-func (o *Options) fill() {
-	if o.BlockBytes == 0 {
-		o.BlockBytes = 64
-	}
-	if o.Window == 0 {
-		o.Window = 1024
-	}
-	if o.SmoothLevels == 0 {
-		o.SmoothLevels = 3
-	}
-	if o.RelThreshold == 0 {
-		o.RelThreshold = 0.15
-	}
-	if o.MinGapSamples == 0 {
-		o.MinGapSamples = 4
-	}
-	if o.CorrWindow == 0 {
-		o.CorrWindow = 30000
-	}
-	if o.MinPrecision == 0 {
-		o.MinPrecision = 0.4
-	}
-}
+// Selection parameters; Figure 10's golden table was produced with these.
+const (
+	distBlockBytes = 64    // granularity of reuse distances, in bytes
+	signalWindow   = 1024  // accesses per signal sample
+	smoothLevels   = 3     // Haar smoothing levels
+	jumpThreshold  = 0.15  // boundary jump as a fraction of the signal's range
+	minGapSamples  = 4     // min samples between boundaries
+	corrWindow     = 30000 // instructions either side of a boundary that correlate with it
+	minPrecision   = 0.4   // min fraction of a block's executions near boundaries
+)
 
 // Markers is a set of reuse-distance phase markers: static basic blocks
 // whose executions signal locality-phase changes. MinGap suppresses
@@ -58,11 +34,9 @@ type Markers struct {
 // reuse-distance signal, one to correlate basic blocks with the detected
 // phase boundaries (the Sequitur-pattern step of [23] reduced to its
 // effect: find blocks that fire at locality-phase starts).
-func Select(prog *minivm.Program, args []int64, opts Options) (*Markers, error) {
-	opts.fill()
-
+func Select(prog *minivm.Program, args []int64) (*Markers, error) {
 	// Pass 1: reuse-distance signal.
-	sc := NewSignalCollector(opts.BlockBytes, opts.Window)
+	sc := NewSignalCollector(distBlockBytes, signalWindow)
 	m := minivm.NewMachine(prog, sc)
 	if _, err := m.Run(args...); err != nil {
 		return nil, fmt.Errorf("reuse: signal run: %w", err)
@@ -72,11 +46,11 @@ func Select(prog *minivm.Program, args []int64, opts Options) (*Markers, error) 
 	for i, s := range sc.Samples {
 		sig[i] = s.MeanLog
 	}
-	smoothed := HaarSmooth(sig, opts.SmoothLevels)
-	bidx := Boundaries(smoothed, opts.RelThreshold, opts.MinGapSamples)
+	smoothed := HaarSmooth(sig, smoothLevels)
+	bidx := Boundaries(smoothed, jumpThreshold, minGapSamples)
 	// Smoothing localizes a jump only to within a 2^levels-sample block;
 	// refine each boundary to the largest raw-signal jump nearby.
-	radius := 1 << opts.SmoothLevels
+	radius := 1 << smoothLevels
 	for i, bi := range bidx {
 		lo, hi := bi-radius, bi+radius
 		if lo < 1 {
@@ -100,13 +74,13 @@ func Select(prog *minivm.Program, args []int64, opts Options) (*Markers, error) 
 		}
 	}
 
-	mk := &Markers{MinGap: opts.CorrWindow, Boundaries: len(bpos)}
+	mk := &Markers{MinGap: corrWindow, Boundaries: len(bpos)}
 	if len(bpos) == 0 {
 		return mk, nil // no structure found (the gcc/vortex failure mode of [23])
 	}
 
 	// Pass 2: correlate block executions with boundary windows.
-	corr := &correlator{bpos: bpos, window: opts.CorrWindow,
+	corr := &correlator{bpos: bpos, window: corrWindow,
 		hits: map[int]int{}, execs: map[int]int{}, covered: map[int]map[int]bool{}}
 	m2 := minivm.NewMachine(prog, corr)
 	if _, err := m2.Run(args...); err != nil {
@@ -121,7 +95,7 @@ func Select(prog *minivm.Program, args []int64, opts Options) (*Markers, error) 
 	var cands []cand
 	for blk, h := range corr.hits {
 		p := float64(h) / float64(corr.execs[blk])
-		if p >= opts.MinPrecision {
+		if p >= minPrecision {
 			cands = append(cands, cand{block: blk, precision: p, cov: corr.covered[blk]})
 		}
 	}

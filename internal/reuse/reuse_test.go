@@ -200,7 +200,7 @@ func TestSelectFindsLocalityMarkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk, err := Select(prog, []int64{8, 60_000}, Options{})
+	mk, err := Select(prog, []int64{8, 60_000})
 	if err != nil {
 		t.Fatal(err)
 	}

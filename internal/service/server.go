@@ -44,9 +44,10 @@ type Config struct {
 	// AccessLog, when non-nil, receives one structured entry per request
 	// (request ID, trace ID, route, status, bytes, stage breakdown).
 	AccessLog *slog.Logger
-	// SlowWindow bounds the /debug/slowest capture ring (default 64).
-	SlowWindow int
 }
+
+// slowWindow bounds the /debug/slowest capture ring.
+const slowWindow = 64
 
 func (c Config) workers() int {
 	if c.Workers < 1 {
@@ -63,13 +64,6 @@ func (c Config) queue() int {
 		return 4 * c.workers()
 	}
 	return c.Queue
-}
-
-func (c Config) slowWindow() int {
-	if c.SlowWindow < 1 {
-		return 64
-	}
-	return c.SlowWindow
 }
 
 // Server is the phased HTTP service: the four pipeline endpoints plus
@@ -94,7 +88,7 @@ func New(cfg Config) *Server {
 		pl:   &Pipeline{traceWorkers: par.Share(cfg.workers())},
 		gate: NewGate(cfg.workers(), cfg.queue()),
 		mux:  http.NewServeMux(),
-		slow: obs.NewRing[SlowRequest](cfg.slowWindow()),
+		slow: obs.NewRing[SlowRequest](slowWindow),
 	}
 	// Every route goes through the instrument wrapper (root span, request
 	// ID, traceparent, RED metrics); only the pipeline routes feed the

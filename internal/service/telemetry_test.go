@@ -211,7 +211,7 @@ func keys[V any](m map[string]V) []string {
 }
 
 func TestDebugSlowestWindow(t *testing.T) {
-	_, ts := newTestServer(t, service.Config{SlowWindow: 8})
+	_, ts := newTestServer(t, service.Config{})
 	body := []byte(`{"workload":"` + itWorkload + `"}`)
 	for i := 0; i < 3; i++ {
 		resp := postRaw(t, ts.URL+service.EndpointProfile, body, nil)
@@ -232,7 +232,7 @@ func TestDebugSlowestWindow(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Schema != service.SchemaDebugSlowest || out.Window != 8 {
+	if out.Schema != service.SchemaDebugSlowest || out.Window != 64 {
 		t.Fatalf("debug payload shape: %q window %d", out.Schema, out.Window)
 	}
 	if len(out.Requests) != 3 {

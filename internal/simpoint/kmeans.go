@@ -41,16 +41,19 @@ var (
 // same user-level seed.
 const seedSalt = 0x51e0b6c4d5a3f7e9
 
+// bicPercent is SimPoint's model-selection threshold: Cluster picks the
+// smallest k whose normalized BIC reaches it.
+const bicPercent = 0.9
+
 // Options configures clustering.
 type Options struct {
-	KMax       int     // largest k tried (paper: 10 for 10M, 30 for 1M fixed, 100/others per config)
-	Dims       int     // projection dimensionality (paper: 15)
-	Seed       uint64  // RNG seed for projection and seeding
-	Restarts   int     // k-means restarts per k (default 3)
-	MaxIters   int     // k-means iteration cap (default 60)
-	BICPercent float64 // pick smallest k with normalized BIC >= this (default 0.9)
-	ForceK     int     // when > 0, skip model selection and use exactly this k
-	Workers    int     // (k, restart) runs clustered in parallel (default GOMAXPROCS)
+	KMax     int    // largest k tried (paper: 10 for 10M, 30 for 1M fixed, 100/others per config)
+	Dims     int    // projection dimensionality (paper: 15)
+	Seed     uint64 // RNG seed for projection and seeding
+	Restarts int    // k-means restarts per k (default 3)
+	MaxIters int    // k-means iteration cap (default 60)
+	ForceK   int    // when > 0, skip model selection and use exactly this k
+	Workers  int    // (k, restart) runs clustered in parallel (default GOMAXPROCS)
 }
 
 func (o Options) restarts() int {
@@ -65,13 +68,6 @@ func (o Options) maxIters() int {
 		return 60
 	}
 	return o.MaxIters
-}
-
-func (o Options) bicPercent() float64 {
-	if o.BICPercent <= 0 || o.BICPercent > 1 {
-		return 0.9
-	}
-	return o.BICPercent
 }
 
 func (o Options) workers() int {
@@ -415,7 +411,7 @@ func bicScore(pts Matrix, weights []float64, assign []int, centers Matrix) float
 // Cluster classifies the projected points. weights is the instruction mass
 // of each point (nil for uniform). It tries k = 1..KMax, scores each best
 // restart with BIC, and returns the smallest k whose normalized BIC
-// reaches BICPercent of the observed range — SimPoint's model selection.
+// reaches bicPercent of the observed range — SimPoint's model selection.
 //
 // The (k, restart) runs are independent, so they fan out across
 // Options.Workers workers, each with its own reusable scratch. Every run
@@ -514,7 +510,7 @@ func Cluster(pts Matrix, weights []float64, opts Options) *Clustering {
 	chosen := &results[len(results)-1].c
 	if hi > lo {
 		for i := range results {
-			if (results[i].bic-lo)/(hi-lo) >= opts.bicPercent() {
+			if (results[i].bic-lo)/(hi-lo) >= bicPercent {
 				chosen = &results[i].c
 				break
 			}
