@@ -69,21 +69,24 @@ func (r *Report) SetRun(run Run) {
 		if r.Runs[i].Label != run.Label {
 			continue
 		}
-		old := &r.Runs[i]
-		old.Go, old.Workers, old.Queue = run.Go, run.Workers, run.Queue
+		scenarios := r.Runs[i].Scenarios
 		for _, sc := range run.Scenarios {
 			replaced := false
-			for j := range old.Scenarios {
-				if old.Scenarios[j].Name == sc.Name {
-					old.Scenarios[j] = sc
+			for j := range scenarios {
+				if scenarios[j].Name == sc.Name {
+					scenarios[j] = sc
 					replaced = true
 					break
 				}
 			}
 			if !replaced {
-				old.Scenarios = append(old.Scenarios, sc)
+				scenarios = append(scenarios, sc)
 			}
 		}
+		// The header (Go, build, workers, queue) follows the latest
+		// measurement.
+		r.Runs[i] = run
+		r.Runs[i].Scenarios = scenarios
 		return
 	}
 	r.Runs = append(r.Runs, run)

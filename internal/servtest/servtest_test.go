@@ -204,15 +204,19 @@ func TestReportRoundTripAndMerge(t *testing.T) {
 	if r.Schema != Schema || len(r.Runs) != 0 {
 		t.Fatalf("fresh report: %+v", r)
 	}
-	r.SetRun(Run{Label: "dev", Scenarios: []ScenarioResult{{Name: "cold", Requests: 10}, {Name: "hot", Requests: 20}}})
-	// Partial re-run: replaces "cold", keeps "hot", appends "mixed".
-	r.SetRun(Run{Label: "dev", Scenarios: []ScenarioResult{{Name: "cold", Requests: 99}, {Name: "mixed", Requests: 5}}})
+	r.SetRun(Run{Label: "dev", Build: "old", Workers: 2, Scenarios: []ScenarioResult{{Name: "cold", Requests: 10}, {Name: "hot", Requests: 20}}})
+	// Partial re-run: replaces "cold", keeps "hot", appends "mixed", and
+	// stamps the run with the binary that measured it.
+	r.SetRun(Run{Label: "dev", Build: "new", Workers: 4, Scenarios: []ScenarioResult{{Name: "cold", Requests: 99}, {Name: "mixed", Requests: 5}}})
 	r.SetRun(Run{Label: "other", Scenarios: []ScenarioResult{{Name: "cold", Requests: 1}}})
 	if len(r.Runs) != 2 || len(r.Runs[0].Scenarios) != 3 {
 		t.Fatalf("merge shape: %+v", r.Runs)
 	}
 	if r.Runs[0].Scenarios[0].Requests != 99 || r.Runs[0].Scenarios[1].Requests != 20 {
 		t.Fatalf("merge content: %+v", r.Runs[0].Scenarios)
+	}
+	if r.Runs[0].Build != "new" || r.Runs[0].Workers != 4 {
+		t.Fatalf("re-run header: build %q workers %d, want the latest run's \"new\" and 4", r.Runs[0].Build, r.Runs[0].Workers)
 	}
 
 	var buf bytes.Buffer
