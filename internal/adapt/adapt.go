@@ -17,6 +17,7 @@ import (
 	"phasemark/internal/bbv"
 	"phasemark/internal/core"
 	"phasemark/internal/minivm"
+	"phasemark/internal/obs"
 	"phasemark/internal/reuse"
 	"phasemark/internal/trace"
 	"phasemark/internal/uarch"
@@ -55,38 +56,35 @@ type Source struct {
 	FixedLen uint64          // fixed-length intervals (BBV / best-fixed baselines)
 	SPM      *core.MarkerSet // software phase markers
 	Reuse    *reuse.Markers  // reuse-distance markers
-	Loops    *minivm.Loops   // optional cached loop table for SPM
 }
 
-// multiCache simulates all NumConfigs configurations side by side.
+// multiCache simulates all NumConfigs configurations with one
+// NumConfigs-way LRU cache over BaseConfig's sets: by LRU inclusion the
+// configuration with w ways holds exactly the w most recently used lines
+// of each set, so a reference found at depth d misses in every
+// configuration with at most d ways.
 type multiCache struct {
-	caches   [NumConfigs]*uarch.Cache
+	c        *uarch.Cache
 	accesses uint64
 	misses   [NumConfigs]uint64
 }
 
 func newMultiCache() *multiCache {
-	mc := &multiCache{}
-	for i := range mc.caches {
-		cfg := BaseConfig
-		cfg.Ways = i + 1
-		mc.caches[i] = uarch.NewCache(cfg)
-	}
-	return mc
+	cfg := BaseConfig
+	cfg.Ways = NumConfigs
+	return &multiCache{c: uarch.NewCache(cfg)}
 }
 
 func (mc *multiCache) access(addr uint64) {
 	mc.accesses++
-	for i, c := range mc.caches {
-		if !c.Access(addr) {
-			mc.misses[i]++
-		}
+	for i := range mc.c.Depth(addr) {
+		mc.misses[i]++
 	}
 }
 
 // segmenter is a run's one machine observer: the boundary source, whose
 // firings cut intervals, then the BBV touch (fixed-length runs only), and
-// the multi-configuration caches on memory references.
+// the multi-configuration cache on memory references.
 type segmenter struct {
 	minivm.NopObserver
 	boundary  minivm.Observer
@@ -145,6 +143,8 @@ func (s *segmenter) cut(phase int, at uint64) {
 // Run executes prog under the multi-configuration cache simulation,
 // cutting intervals per src.
 func Run(prog *minivm.Program, args []int64, src Source) (*RunResult, error) {
+	sp := obs.StartSpan("adapt.run", "")
+	defer sp.End()
 	seg := &segmenter{mc: newMultiCache(), phase: -1}
 	switch {
 	case src.FixedLen > 0:
@@ -153,7 +153,7 @@ func Run(prog *minivm.Program, args []int64, src Source) (*RunResult, error) {
 			seg.cut(-1, at)
 		})
 	case src.SPM != nil:
-		seg.boundary = core.NewDetector(prog, src.Loops, src.SPM, func(marker int, at uint64) {
+		seg.boundary = core.NewDetector(prog, nil, src.SPM, func(marker int, at uint64) {
 			seg.cut(marker, at)
 		})
 	case src.Reuse != nil:

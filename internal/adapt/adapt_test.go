@@ -5,6 +5,8 @@ import (
 
 	"phasemark/internal/compile"
 	"phasemark/internal/core"
+	"phasemark/internal/stats"
+	"phasemark/internal/uarch"
 )
 
 // multiScaleSrc has a large-working-set phase (only the 256KB config holds
@@ -170,45 +172,40 @@ func TestEmptySourceErrors(t *testing.T) {
 	}
 }
 
-// RunOnline drives a real resizable cache from the instrumented binary's
-// mark stream. Its results must land close to the offline policy estimate
-// and must not meaningfully increase misses over always-full-size.
-func TestOnlineReconfigurationMatchesOfflinePolicy(t *testing.T) {
-	prog, err := compile.CompileSource(multiScaleSrc, compile.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := core.ProfileRun(prog, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := core.SelectMarkers(g, core.SelectOptions{ILower: 100_000})
-	offRes, err := Run(prog, []int64{6}, Source{SPM: set})
-	if err != nil {
-		t.Fatal(err)
-	}
-	offline := Evaluate(offRes, nil)
-
-	online, err := RunOnline(prog, set, []int64{6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if online.Resizes == 0 {
-		t.Fatal("live cache never resized")
-	}
-	if online.AvgCacheKB >= 256 {
-		t.Fatalf("online never shrank: %.1f KB", online.AvgCacheKB)
-	}
-	// Online average size within 25% of the offline estimate.
-	ratio := online.AvgCacheKB / offline.AvgCacheKB
-	if ratio < 0.75 || ratio > 1.25 {
-		t.Fatalf("online %.1f KB vs offline %.1f KB (ratio %.2f)",
-			online.AvgCacheKB, offline.AvgCacheKB, ratio)
-	}
-	// Miss rate close to the always-256KB baseline (resize transients
-	// allowed a small margin).
-	base := offline.BaseRate
-	if online.MissRate > base*1.15+0.0005 {
-		t.Fatalf("online miss rate %.5f vs full-size %.5f", online.MissRate, base)
+// The one NumConfigs-way cache must count, for every configuration, the
+// misses of a separate cache with that many ways over BaseConfig's sets:
+// streams range from a footprint of a few sets (every configuration
+// holds it) to far beyond the 256 KB of the largest.
+func TestMultiCacheMatchesEightCaches(t *testing.T) {
+	const accesses = 100_000
+	for _, blocks := range []int{4, 600, 2048, 4096, 6000, 40_000, 1 << 20} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := stats.NewRNG(seed*0x9e37 + uint64(blocks))
+			mc := newMultiCache()
+			var ref [NumConfigs]*uarch.Cache
+			for i := range ref {
+				cfg := BaseConfig
+				cfg.Ways = i + 1
+				ref[i] = uarch.NewCache(cfg)
+			}
+			var want [NumConfigs]uint64
+			for n := 0; n < accesses; n++ {
+				// Mostly uniform over the footprint, with runs of
+				// consecutive words that hit the last-block shortcut.
+				addr := uint64(rng.Intn(blocks))*uint64(BaseConfig.BlockBytes) + uint64(rng.Intn(8))*8
+				for k := rng.Intn(3); k >= 0; k-- {
+					mc.access(addr)
+					for i, c := range ref {
+						if !c.Access(addr) {
+							want[i]++
+						}
+					}
+				}
+			}
+			if mc.misses != want {
+				t.Fatalf("%d blocks, seed %d: one cache counted %v misses, eight caches %v",
+					blocks, seed, mc.misses, want)
+			}
+		}
 	}
 }

@@ -92,15 +92,13 @@ func chooseConfig(misses [NumConfigs]uint64) int {
 // bar of Figure 10).
 func BestFixed(res *RunResult) PolicyResult {
 	var misses [NumConfigs]uint64
-	var acc, instrs uint64
+	var acc uint64
 	for _, iv := range res.Intervals {
 		for c := range misses {
 			misses[c] += iv.Misses[c]
 		}
 		acc += iv.Accesses
-		instrs += iv.Instrs
 	}
-	_ = instrs
 	c := chooseConfig(misses)
 	out := PolicyResult{AvgCacheKB: float64(SizeKB(c)), Phases: 1}
 	if acc > 0 {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"phasemark/internal/minivm"
+	"phasemark/internal/obs"
 )
 
 // Selection parameters; Figure 10's golden table was produced with these.
@@ -35,6 +36,8 @@ type Markers struct {
 // phase boundaries (the Sequitur-pattern step of [23] reduced to its
 // effect: find blocks that fire at locality-phase starts).
 func Select(prog *minivm.Program, args []int64) (*Markers, error) {
+	sp := obs.StartSpan("reuse.select", "")
+	defer sp.End()
 	// Pass 1: reuse-distance signal.
 	sc := NewSignalCollector(distBlockBytes, signalWindow)
 	m := minivm.NewMachine(prog, sc)

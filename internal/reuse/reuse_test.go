@@ -2,86 +2,49 @@ package reuse
 
 import (
 	"testing"
-	"testing/quick"
 
 	"phasemark/internal/compile"
 	"phasemark/internal/minivm"
 	"phasemark/internal/stats"
 )
 
-func TestTreapOrderStatistics(t *testing.T) {
-	tr := newTreap(1)
-	for k := uint64(1); k <= 100; k++ {
-		tr.Insert(k)
-	}
-	if tr.Len() != 100 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	if got := tr.CountGreater(90); got != 10 {
-		t.Fatalf("CountGreater(90) = %d", got)
-	}
-	if got := tr.CountGreater(0); got != 100 {
-		t.Fatalf("CountGreater(0) = %d", got)
-	}
-	if got := tr.CountGreater(100); got != 0 {
-		t.Fatalf("CountGreater(100) = %d", got)
-	}
-	if !tr.Delete(50) {
-		t.Fatal("delete existing failed")
-	}
-	if tr.Delete(50) {
-		t.Fatal("double delete succeeded")
-	}
-	if got := tr.CountGreater(40); got != 59 {
-		t.Fatalf("after delete, CountGreater(40) = %d", got)
-	}
-}
-
-// Property: treap CountGreater matches a naive slice implementation under
-// random interleaved inserts and deletes.
-func TestTreapMatchesNaive(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := stats.NewRNG(seed)
-		tr := newTreap(seed ^ 0xfeed)
-		live := map[uint64]bool{}
-		next := uint64(1)
-		for op := 0; op < 300; op++ {
-			if r.Intn(3) != 0 || len(live) == 0 {
-				tr.Insert(next)
-				live[next] = true
-				next++
-			} else {
-				// Delete a pseudo-random live key.
-				var k uint64
-				n := r.Intn(len(live))
-				for key := range live {
-					if n == 0 {
-						k = key
+// Property: Distances matches an explicit LRU stack at every access, on
+// streams over few and many distinct blocks that run out of times and
+// compact the tree several times.
+func TestDistancesMatchNaive(t *testing.T) {
+	for _, blocks := range []int{1, 3, 40, 1500} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			r := stats.NewRNG(seed<<16 | uint64(blocks))
+			d := NewDistances(64)
+			var stack []uint64 // MRU first
+			compactions := 0
+			for n := 0; n < 20_000; n++ {
+				// Skewed towards low block numbers, so distances range
+				// from 0 to the whole footprint.
+				blk := uint64(r.Intn(r.Intn(blocks) + 1))
+				want, wantCold := 0, true
+				for i, b := range stack {
+					if b == blk {
+						want, wantCold = i, false
+						stack = append(stack[:i], stack[i+1:]...)
 						break
 					}
-					n--
 				}
-				// Map iteration order is random; re-derive determinism by
-				// just deleting whichever key was found.
-				tr.Delete(k)
-				delete(live, k)
-			}
-			// Spot-check a query.
-			q := uint64(r.Intn(int(next)))
-			want := 0
-			for key := range live {
-				if key > q {
-					want++
+				stack = append([]uint64{blk}, stack...)
+				before := d.now
+				dist, cold := d.Access(blk*64 + uint64(r.Intn(64)))
+				if d.now <= before {
+					compactions++
+				}
+				if dist != want || cold != wantCold || d.Distinct() != len(stack) {
+					t.Fatalf("%d blocks, seed %d, access %d (block %d): got dist %d cold %v distinct %d, want %d %v %d",
+						blocks, seed, n, blk, dist, cold, d.Distinct(), want, wantCold, len(stack))
 				}
 			}
-			if got := tr.CountGreater(q); got != want {
-				return false
+			if compactions < 3 {
+				t.Fatalf("%d blocks, seed %d: %d compactions, want several", blocks, seed, compactions)
 			}
 		}
-		return tr.Len() == len(live)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
 	}
 }
 
