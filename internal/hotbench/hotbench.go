@@ -94,7 +94,7 @@ func StagesScaled(scale int) []Stage {
 		},
 		{
 			Name: "profile",
-			Desc: "call-loop profiling: core.ProfileRun on gzip's train input, the walker numbering edges and the graph accumulating per-edge statistics over a full run",
+			Desc: "call-loop profiling: core.ProfileRun on gzip's train input, the walker numbering edges and the graph accumulating per-edge statistics over a full run; on the record/replay split at GOMAXPROCS >= 2, the serial machine at 1, so only runs of equal gomaxprocs compare",
 			Unit: "Minstr/s",
 			New:  newProfile,
 		},

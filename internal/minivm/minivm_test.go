@@ -281,6 +281,7 @@ var breakers = []func(p *Program){
 	func(p *Program) { p.Procs[0].Blocks = nil },
 	func(p *Program) { p.Procs[0].Blocks[0].ID = 77 },
 	func(p *Program) { p.NumBlocks = 1 },
+	func(p *Program) { p.NumBlocks = -1 },
 	func(p *Program) { p.Procs[0].Blocks[1].Term.Cond = CondGE + 4 },
 }
 
@@ -297,17 +298,21 @@ func TestValidateCatchesCorruption(t *testing.T) {
 // TestRunRefusesInvalidProgram pins the machine's one gate: Run indexes
 // registers through an unchecked fixed window, so a program that fails
 // validation must come back as ErrInvalidProgram, never as a panic or a
-// run that reads or writes a neighbouring frame's registers.
+// run that reads or writes a neighbouring frame's registers. RunSplit
+// keeps the same gate.
 func TestRunRefusesInvalidProgram(t *testing.T) {
 	refuse := func(name string, p *Program) {
 		t.Helper()
 		defer func() {
 			if r := recover(); r != nil {
-				t.Errorf("%s: Run panicked: %v", name, r)
+				t.Errorf("%s: Run or RunSplit panicked: %v", name, r)
 			}
 		}()
 		if rv, err := NewMachine(p, nil).Run(5); !errors.Is(err, ErrInvalidProgram) {
 			t.Errorf("%s: Run = %d, %v; want ErrInvalidProgram", name, rv, err)
+		}
+		if _, err := RunSplit(p, &logObs{}, nil, 5); !errors.Is(err, ErrInvalidProgram) {
+			t.Errorf("%s: RunSplit = %v; want ErrInvalidProgram", name, err)
 		}
 	}
 	for i, breakIt := range breakers {

@@ -13,16 +13,14 @@ import (
 // Two regimes, both bit-identical to the serial path in Run, streaming
 // or materializing:
 //
-//   - Single execution (Scale <= 1): a record/replay split. The
-//     interpreter runs on a producer goroutine with one flat observer
-//     that encodes every event the run's analysisStack consumes as a
-//     tagged word into a bounded ring of buffers; the caller goroutine
-//     replays the words into the stack's observer methods, the calls the
-//     serial machine makes (cutter/detector, timing model, BBV
+//   - Single execution (Scale <= 1): the record/replay split,
+//     minivm.RunSplit. The interpreter runs on a producer goroutine and
+//     records the events the run's analysisStack consumes; the caller
+//     goroutine replays them into the stack's observer methods, the calls
+//     the serial machine makes (cutter/detector, timing model, BBV
 //     accumulator, collector, and Sink or the materialized Result).
-//     The ring gives backpressure — the interpreter traces ahead while
-//     analysis consumes — and replaying the total event order reproduces
-//     every cut, counter, and snapshot by construction.
+//     Replaying the total event order reproduces every cut, counter, and
+//     snapshot by construction.
 //
 //   - Amplified execution (Scale >= 2): rep-parallel workers. Each of
 //     min(Workers, Scale) workers owns an analysisStack and runs the
@@ -40,34 +38,10 @@ import (
 //     the streaming contract.
 //
 // Neither regime returns while a goroutine it started is still running.
-const (
-	// eventBufWords is the capacity of one event buffer (~256KB). Big
-	// enough that handoff synchronization is negligible against the
-	// ~1M machine events it batches, small enough that the ring keeps
-	// working memory bounded.
-	eventBufWords = 1 << 15
-	// engineRingBufs is the ring depth for both regimes: one buffer in
-	// flight, one being filled, one spare absorbing jitter.
-	engineRingBufs = 3
-)
 
-// Event words: tag in the low 3 bits, payload shifted above. Block and
-// branch events carry the block ID, memory events the byte address
-// (always < 2^61: addresses are word-indexed into bounded global
-// memory), call events the callee proc ID above the 32-bit site block
-// ID, returns the callee proc ID.
-const (
-	evBlock = iota
-	evBranchT
-	evBranchN
-	evLoad
-	evStore
-	evCall
-	evRet
-
-	evTagBits = 3
-	evTagMask = 1<<evTagBits - 1
-)
+// repRingChunks is each rep worker's ring depth: one chunk in flight,
+// one being filled, one spare absorbing jitter.
+const repRingChunks = 3
 
 // errEngineStopped poisons worker-side collectors when the reducer
 // aborts; it never escapes to the caller (the originating error does).
@@ -81,201 +55,27 @@ func runEngine(cfg Config) (*Result, error) {
 	return runSplit(cfg)
 }
 
-// eventRecorder is the producer-side observer: it packs every machine
-// event into the current buffer and hands full buffers to the replay
-// side, blocking on the free ring for backpressure. After a stop it
-// keeps the machine runnable but discards events (the interpreter
-// cannot be interrupted mid-Run; the doomed remainder executes without
-// growing memory, mirroring the serial collector's poisoned mode).
-type eventRecorder struct {
-	mask    minivm.EventMask
-	buf     []uint64
-	filled  chan []uint64
-	free    chan []uint64
-	stop    <-chan struct{}
-	stopped bool
-}
-
-// ObservedEvents implements minivm.EventMasker.
-func (r *eventRecorder) ObservedEvents() minivm.EventMask { return r.mask }
-
-func (r *eventRecorder) emit(w uint64) {
-	if len(r.buf) == cap(r.buf) {
-		r.handoff()
-	}
-	r.buf = append(r.buf, w)
-}
-
-// handoff ships the full buffer and acquires an empty one.
-func (r *eventRecorder) handoff() {
-	if r.stopped {
-		r.buf = r.buf[:0]
-		return
-	}
-	select {
-	case r.filled <- r.buf:
-	case <-r.stop:
-		r.stopped = true
-		r.buf = r.buf[:0]
-		return
-	}
-	select {
-	case nb := <-r.free:
-		r.buf = nb[:0]
-	case <-r.stop:
-		// The shipped buffer is gone and no free one is coming back;
-		// record into a throwaway so the machine can finish.
-		r.stopped = true
-		r.buf = make([]uint64, 0, eventBufWords)
-	}
-}
-
-// flush ships a final partial buffer (producer end of run).
-func (r *eventRecorder) flush() {
-	if r.stopped || len(r.buf) == 0 {
-		return
-	}
-	select {
-	case r.filled <- r.buf:
-		r.buf = nil
-	case <-r.stop:
-		r.stopped = true
-	}
-}
-
-func (r *eventRecorder) OnBlock(b *minivm.Block) {
-	r.emit(uint64(b.ID)<<evTagBits | evBlock)
-}
-
-func (r *eventRecorder) OnBranch(b *minivm.Block, taken bool) {
-	t := uint64(evBranchN)
-	if taken {
-		t = evBranchT
-	}
-	r.emit(uint64(b.ID)<<evTagBits | t)
-}
-
-func (r *eventRecorder) OnMem(addr uint64, write bool) {
-	t := uint64(evLoad)
-	if write {
-		t = evStore
-	}
-	r.emit(addr<<evTagBits | t)
-}
-
-func (r *eventRecorder) OnCall(site *minivm.Block, callee *minivm.Proc) {
-	r.emit((uint64(callee.ID)<<32|uint64(uint32(site.ID)))<<evTagBits | evCall)
-}
-
-func (r *eventRecorder) OnReturn(callee *minivm.Proc) {
-	r.emit(uint64(callee.ID)<<evTagBits | evRet)
-}
-
-// blockTable builds a dense block-ID -> *Block index (Program.BlockByID
-// is a linear scan; replay needs O(1)).
-func blockTable(p *minivm.Program) []*minivm.Block {
-	t := make([]*minivm.Block, p.NumBlocks)
-	for _, pr := range p.Procs {
-		for _, b := range pr.Blocks {
-			if b.ID >= 0 && b.ID < len(t) {
-				t[b.ID] = b
-			}
-		}
-	}
-	return t
-}
-
-// runSplit is the single-execution record/replay regime: one producer
-// goroutine interprets, the caller replays events through the analysis
-// stack.
+// runSplit is the single-execution regime: minivm.RunSplit interprets on
+// a producer goroutine and replays the events into the analysis stack on
+// this one, stopping the replay once a sink error poisons the collector.
 func runSplit(cfg Config) (*Result, error) {
 	// The analysis stack is constructed exactly as the serial path
 	// constructs it; in marker mode the detector's walker fires
 	// entry-edge opens here, before any event replays, just as
-	// NewDetector does before the serial machine starts. The recorder
-	// records exactly the events the stack consumes.
+	// NewDetector does before the serial machine starts.
 	s := newAnalysisStack(cfg, cfg.Sink)
-	stop := make(chan struct{})
-	rec := &eventRecorder{
-		mask:   s.ObservedEvents(),
-		buf:    make([]uint64, 0, eventBufWords),
-		filled: make(chan []uint64, engineRingBufs),
-		free:   make(chan []uint64, engineRingBufs),
-		stop:   stop,
-	}
-	for i := 1; i < engineRingBufs; i++ {
-		rec.free <- make([]uint64, 0, eventBufWords)
-	}
-
-	m := minivm.NewMachine(cfg.Prog, rec)
-	var prodErr error
-	var prodInstrs uint64
-	go func() {
-		_, err := m.Run(cfg.Args...)
-		if err == nil {
-			rec.flush()
-		}
-		prodErr = err
-		prodInstrs = m.Instructions()
-		close(rec.filled) // happens-after the writes above
-	}()
-	// join stops the producer's deliveries and waits for it to finish,
-	// draining what is in flight without replaying it. It runs on every
-	// return path, a sink panic included.
-	var joinOnce sync.Once
-	join := func() {
-		joinOnce.Do(func() {
-			close(stop)
-			for range rec.filled {
-			}
-		})
-	}
-	defer join()
-
-	// Replay makes the serial machine's calls on the stack, in recorded
-	// order.
-	blocks := blockTable(cfg.Prog)
-	procs := cfg.Prog.Procs
-	var total uint64
-	for buf := range rec.filled {
-		for _, w := range buf {
-			payload := w >> evTagBits
-			switch w & evTagMask {
-			case evBlock:
-				b := blocks[payload]
-				s.OnBlock(b)
-				total += uint64(b.Weight())
-			case evBranchT:
-				s.OnBranch(blocks[payload], true)
-			case evBranchN:
-				s.OnBranch(blocks[payload], false)
-			case evLoad:
-				s.OnMem(payload, false)
-			case evStore:
-				s.OnMem(payload, true)
-			case evCall:
-				s.OnCall(blocks[uint32(payload)], procs[payload>>32])
-			case evRet:
-				s.OnReturn(procs[payload])
-			}
-		}
-		rec.free <- buf[:0]
-		if s.col.err != nil {
-			break // sink error: stop replaying
-		}
-	}
-	join()
-	if prodErr != nil {
-		// Same precedence as the serial path: a failed execution trumps
-		// a sink error (the poisoned collector just kept it from
-		// growing memory in the meantime).
-		return nil, fmt.Errorf("trace: run failed: %w", prodErr)
+	total, err := minivm.RunSplit(cfg.Prog, s, func() bool { return s.col.err != nil }, cfg.Args...)
+	// Same precedence as the serial path: a failed execution trumps a
+	// sink error (the poisoned collector just kept it from growing memory
+	// in the meantime), and replay drift comes last.
+	if err != nil && !errors.Is(err, minivm.ErrReplayDrift) {
+		return nil, fmt.Errorf("trace: run failed: %w", err)
 	}
 	if s.col.err != nil {
 		return nil, fmt.Errorf("trace: sink: %w", s.col.err)
 	}
-	if total != prodInstrs {
-		return nil, fmt.Errorf("trace: engine replay drift: replayed %d instructions, machine ran %d", total, prodInstrs)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 
 	s.col.cut(ProloguePhase, total)
@@ -392,9 +192,9 @@ func runReps(cfg Config, runs int) (*Result, error) {
 	outs := make([]chan *repChunk, W)
 	frees := make([]chan *repChunk, W)
 	for w := 0; w < W; w++ {
-		outs[w] = make(chan *repChunk, engineRingBufs)
-		frees[w] = make(chan *repChunk, engineRingBufs)
-		for i := 0; i < engineRingBufs; i++ {
+		outs[w] = make(chan *repChunk, repRingChunks)
+		frees[w] = make(chan *repChunk, repRingChunks)
+		for i := 0; i < repRingChunks; i++ {
 			frees[w] <- &repChunk{}
 		}
 		wg.Add(1)
