@@ -54,7 +54,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "serve: listen address")
 		storeDir     = flag.String("store", ".phased-store", "artifact store directory")
-		workers      = flag.Int("workers", 0, "max concurrently executing requests (0 = GOMAXPROCS); each request's trace gets GOMAXPROCS/workers goroutines (at least 1)")
+		workers      = flag.Int("workers", 0, "max concurrently executing requests (0 = GOMAXPROCS); each request's profile or trace gets GOMAXPROCS/workers goroutines (at least 1)")
 		queue        = flag.Int("queue", 0, "max requests queued for a slot (0 = 4x workers)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "serve: max wait for in-flight requests on shutdown")
 		accessLog    = flag.Bool("log", false, "serve: emit a structured (JSON) access log line per request to stderr")

@@ -72,7 +72,7 @@ func main() {
 	benchLabel := flag.String("bench-label", "local", "with -bench: label for this measurement run (an existing run with the same label is updated stage-wise)")
 	benchStages := flag.String("bench-stages", "", "with -bench: comma-separated stage subset to measure (default all; unknown names exit 2)")
 	benchScale := flag.Int("scale", 1, "with -bench: trace amplifier for the streaming stages — the workload executes N times as one long trace (memory stays bounded; see pipeline_e2e_stream); must be >= 1")
-	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "workloads to evaluate in parallel; each workload's traces get GOMAXPROCS/j goroutines (at least 1)")
+	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "workloads to evaluate in parallel; each workload's profiles and traces get GOMAXPROCS/j goroutines (at least 1)")
 	metricsOut := flag.String("metrics", "", "write a metrics snapshot (counters, histograms, per-stage durations) to this JSON file, plus BENCH_obs.json with per-stage totals")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of every pipeline stage span")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) while figures run")

@@ -81,17 +81,26 @@ func TestProfileGraphGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	if d := lineDiff(got.String(), string(want)); d != "" {
+		t.Fatal(d)
+	}
+}
+
+// lineDiff reports the first line where two graph dumps differ, under
+// the last "== <workload>" header above it, or "" if they are equal.
+func lineDiff(got, want string) string {
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 	section := ""
 	for i := 0; i < len(gl) && i < len(wl); i++ {
 		if strings.HasPrefix(wl[i], "== ") {
-			section = wl[i][3:]
+			section = wl[i][3:] + ", "
 		}
 		if gl[i] != wl[i] {
-			t.Fatalf("%s, line %d:\n got %s\nwant %s", section, i+1, gl[i], wl[i])
+			return fmt.Sprintf("%sline %d:\n got %s\nwant %s", section, i+1, gl[i], wl[i])
 		}
 	}
 	if len(gl) != len(wl) {
-		t.Fatalf("graph dump has %d lines, golden %d", len(gl), len(wl))
+		return fmt.Sprintf("graph dump has %d lines, want %d", len(gl), len(wl))
 	}
+	return ""
 }

@@ -92,7 +92,7 @@ func (s *Suite) Fig3() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts, err := timeVarying(d.prog, w.Ref, set, 20_000, d.traceWorkers)
+	pts, err := timeVarying(d.prog, w.Ref, set, 20_000, d.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +133,7 @@ func (s *Suite) Fig4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	pts, err := timeVarying(stackBin, w.Ref, mapped, 60_000, d.traceWorkers)
+	pts, err := timeVarying(stackBin, w.Ref, mapped, 60_000, d.workers)
 	if err != nil {
 		return nil, err
 	}

@@ -257,12 +257,13 @@ type graphKey struct {
 // process lifetime: one *trace.Result each, whose sparse BBVs hold at
 // most the program's static block count of entries per interval.
 type Pipeline struct {
-	// traceWorkers is the trace.Config.Workers of the interpreter run
-	// behind Trace: New sets the share of the machine each of the gate's
-	// concurrently executing requests gets (par.Share); the zero value
-	// is trace's default, the whole machine. The traced result, and so
-	// every response byte, is the same at any value.
-	traceWorkers int
+	// workers is the goroutine budget of the interpreter runs behind
+	// Graph (core.ProfileRunWorkers) and Trace (trace.Config.Workers):
+	// New sets the share of the machine each of the gate's concurrently
+	// executing requests gets (par.Share); the zero value is their
+	// default, the whole machine. The graph, the traced result, and so
+	// every response byte, are the same at any value.
+	workers int
 
 	progs  store.Memo[string, *minivm.Program]
 	graphs store.Memo[graphKey, *core.Graph]
@@ -312,7 +313,7 @@ func (p *Pipeline) Graph(ctx context.Context, workload, input string) (*core.Gra
 			if input == InputRef {
 				args = w.Ref
 			}
-			g, err := core.ProfileRun(prog, args...)
+			g, err := core.ProfileRunWorkers(prog, p.workers, args...)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", workload, err)
 			}
@@ -361,7 +362,7 @@ func (p *Pipeline) Trace(ctx context.Context, req SegmentRequest) (*trace.Result
 			if err != nil {
 				return nil, err
 			}
-			cfg.Workers = p.traceWorkers
+			cfg.Workers = p.workers
 			res, err := trace.Run(cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", req.Workload, err)

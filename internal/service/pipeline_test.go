@@ -9,7 +9,7 @@ import (
 )
 
 // TestTraceMatchesMaterializedRun pins the memoized trace: the result a
-// pipeline at an engine share (traceWorkers 4) memoizes must equal a
+// pipeline at an engine share (workers 4) memoizes must equal a
 // serial materializing trace.Run (Workers 1) of the same config, BBVs
 // included.
 func TestTraceMatchesMaterializedRun(t *testing.T) {
@@ -18,7 +18,7 @@ func TestTraceMatchesMaterializedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	p := &Pipeline{traceWorkers: 4}
+	p := &Pipeline{workers: 4}
 	got, err := p.Trace(ctx, req)
 	if err != nil {
 		t.Fatal(err)

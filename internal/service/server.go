@@ -33,10 +33,11 @@ type Config struct {
 	// Store holds response artifacts; required.
 	Store *store.Store
 	// Workers bounds concurrently executing requests (default
-	// GOMAXPROCS). The interpreter run behind a segment uses its share
-	// of the machine, par.Share(Workers) goroutines: serial at the
-	// default, the pipeline-parallel engine when fewer requests than
-	// CPUs may execute at once.
+	// GOMAXPROCS). The interpreter run behind a profile or a segment
+	// uses its share of the machine, par.Share(Workers) goroutines:
+	// serial at the default, the record/replay split or the
+	// pipeline-parallel engine when fewer requests than CPUs may execute
+	// at once.
 	Workers int
 	// Queue bounds requests waiting for an execution slot (default
 	// 4×Workers). Work beyond Workers+Queue is rejected with 429.
@@ -85,7 +86,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:  cfg,
-		pl:   &Pipeline{traceWorkers: par.Share(cfg.workers())},
+		pl:   &Pipeline{workers: par.Share(cfg.workers())},
 		gate: NewGate(cfg.workers(), cfg.queue()),
 		mux:  http.NewServeMux(),
 		slow: obs.NewRing[SlowRequest](slowWindow),
