@@ -145,6 +145,9 @@ func (s *segmenter) cut(phase int, at uint64) {
 func Run(prog *minivm.Program, args []int64, src Source) (*RunResult, error) {
 	sp := obs.StartSpan("adapt.run", "")
 	defer sp.End()
+	if err := prog.Check(); err != nil {
+		return nil, fmt.Errorf("adapt: %w", err)
+	}
 	seg := &segmenter{mc: newMultiCache(), phase: -1}
 	switch {
 	case src.FixedLen > 0:

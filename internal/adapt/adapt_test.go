@@ -1,10 +1,12 @@
 package adapt
 
 import (
+	"errors"
 	"testing"
 
 	"phasemark/internal/compile"
 	"phasemark/internal/core"
+	"phasemark/internal/minivm"
 	"phasemark/internal/stats"
 	"phasemark/internal/uarch"
 )
@@ -206,6 +208,23 @@ func TestMultiCacheMatchesEightCaches(t *testing.T) {
 				t.Fatalf("%d blocks, seed %d: one cache counted %v misses, eight caches %v",
 					blocks, seed, mc.misses, want)
 			}
+		}
+	}
+}
+
+// An invalid program is an error wrapping minivm.ErrInvalidProgram for
+// every source, never a panic while the BBV accumulator or the detector
+// is sized from NumBlocks.
+func TestAdaptRejectsInvalidProgram(t *testing.T) {
+	prog, err := compile.CompileSource(multiScaleSrc, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *prog
+	bad.NumBlocks = -1
+	for _, src := range []Source{{FixedLen: 100_000}, {SPM: &core.MarkerSet{}}} {
+		if _, err := Run(&bad, []int64{1}, src); !errors.Is(err, minivm.ErrInvalidProgram) {
+			t.Errorf("source %+v: err = %v, want ErrInvalidProgram", src, err)
 		}
 	}
 }

@@ -99,25 +99,43 @@ func Segmentation(res *trace.Result, numMarkers int) error {
 	return nil
 }
 
-// Streaming verifies the streaming/materializing equivalence claim: a
-// chunked, arena-recycling trace.Run over cfg on the serial path
-// (Workers 1) must reproduce the materialized reference bit-for-bit —
-// every interval (bounds, phase, performance counters, BBV), the run
-// totals, and the online per-chunk projection (simpoint.StreamProjector)
-// against the batch projection of the same intervals. The comparison is
-// incremental — each chunk is checked and released — so the check itself
-// stays memory-bounded on the streaming side. cfg must be the
-// configuration want was produced with (any Sink/ChunkSize/Workers in it
-// is replaced).
-func Streaming(cfg trace.Config, want *trace.Result) error {
+// Streaming verifies the streaming/materializing equivalence claim and,
+// at workers >= 2, the pipeline-parallel bit-identity claim: a chunked,
+// arena-recycling trace.Run over cfg at the given trace.Config.Workers
+// must reproduce the materialized reference bit-for-bit — every interval
+// (bounds, phase, performance counters, BBV) and the run totals — and,
+// with the streamed chunks folded into the analysis consumers, leave
+// each in the state the reference gives: the online projection
+// (simpoint.StreamProjector) equal to the batch projection of the
+// reference intervals, and the streamed clustering (StreamKMeans) and
+// CoV (CoVAccumulator) equal to their serial folds over the reference.
+// The comparison is incremental — each chunk is checked and released —
+// so the check itself stays memory-bounded on the streaming side. cfg
+// must be the configuration want was produced with (any
+// Sink/ChunkSize/Workers in it is replaced).
+func Streaming(cfg trace.Config, want *trace.Result, workers int) error {
 	if want == nil {
 		return fmt.Errorf("streaming: nil reference result")
 	}
-	const dims, seed = 15, 0xC1
+	const dims, seed, streamK = 15, 0xC1, 8
+	kmOpts := simpoint.Options{ForceK: streamK, Dims: dims, Seed: seed, Restarts: 2, MaxIters: 40, Workers: 1}
+
+	// Reference clustering and CoV: the serial folds over the
+	// materialized intervals.
+	refKM := simpoint.NewStreamKMeans(want.NumBlocks, kmOpts)
+	refCov := trace.NewCoVAccumulator(trace.IntervalPhase, trace.CPIMetric)
+	for _, iv := range want.Intervals {
+		refKM.Observe(iv)
+		refCov.Observe(iv)
+	}
+	refRes := refKM.Finish()
+
 	proj := simpoint.NewStreamProjector(want.NumBlocks, dims, seed)
+	km := simpoint.NewStreamKMeans(want.NumBlocks, kmOpts)
+	cov := trace.NewCoVAccumulator(trace.IntervalPhase, trace.CPIMetric)
 	next := 0
 	cfg.ChunkSize = 64
-	cfg.Workers = 1
+	cfg.Workers = workers
 	cfg.Sink = func(chunk []trace.Interval) error {
 		n, err := compareStreamed(chunk, want.Intervals, next)
 		if err != nil {
@@ -125,38 +143,61 @@ func Streaming(cfg trace.Config, want *trace.Result) error {
 		}
 		next = n
 		proj.ObserveChunk(chunk)
+		km.ObserveChunk(chunk)
+		cov.ObserveChunk(chunk)
 		return nil
 	}
+	pre := fmt.Sprintf("streaming: workers=%d: ", workers)
 	sres, err := trace.Run(cfg)
 	if err != nil {
-		return fmt.Errorf("streaming: %w", err)
+		return fmt.Errorf("%s%w", pre, err)
 	}
 	if next != len(want.Intervals) {
-		return fmt.Errorf("streaming: %d intervals streamed, %d materialized", next, len(want.Intervals))
+		return fmt.Errorf("%s%d intervals streamed, %d materialized", pre, next, len(want.Intervals))
 	}
 	if sres.Intervals != nil {
-		return fmt.Errorf("streaming: run materialized %d intervals despite sink", len(sres.Intervals))
+		return fmt.Errorf("%srun materialized %d intervals despite sink", pre, len(sres.Intervals))
 	}
 	if sres.Instructions != want.Instructions || sres.Total != want.Total ||
 		sres.MarkerFires != want.MarkerFires || sres.NumBlocks != want.NumBlocks {
-		return fmt.Errorf("streaming: totals differ: instrs %d/%d, fires %d/%d",
+		return fmt.Errorf("%stotals differ: instrs %d/%d, fires %d/%d", pre,
 			sres.Instructions, want.Instructions, sres.MarkerFires, want.MarkerFires)
 	}
+
 	// Online projection must equal the batch projection of the reference.
 	batch, batchW := simpoint.ProjectIntervals(want.Intervals, want.NumBlocks, dims, seed)
 	pts, weights := proj.Matrix()
 	if pts.N != batch.N {
-		return fmt.Errorf("streaming: projected %d rows, batch %d", pts.N, batch.N)
+		return fmt.Errorf("%sprojected %d rows, batch %d", pre, pts.N, batch.N)
 	}
 	for i := range batch.Data {
 		if pts.Data[i] != batch.Data[i] {
-			return fmt.Errorf("streaming: projection differs at element %d (row %d)", i, i/dims)
+			return fmt.Errorf("%sprojection differs at element %d (row %d)", pre, i, i/dims)
 		}
 	}
 	for i := range batchW {
 		if weights[i] != batchW[i] {
-			return fmt.Errorf("streaming: projection weight %d differs", i)
+			return fmt.Errorf("%sprojection weight %d differs", pre, i)
 		}
+	}
+
+	res := km.Finish()
+	if res.K != refRes.K || res.Points != refRes.Points || res.SSE != refRes.SSE {
+		return fmt.Errorf("%sclustering K/points/SSE %d/%d/%v, reference %d/%d/%v", pre,
+			res.K, res.Points, res.SSE, refRes.K, refRes.Points, refRes.SSE)
+	}
+	for i := range refRes.Centers.Data {
+		if res.Centers.Data[i] != refRes.Centers.Data[i] {
+			return fmt.Errorf("%scentroid data differs at %d", pre, i)
+		}
+	}
+	for i := range refRes.Mass {
+		if res.Mass[i] != refRes.Mass[i] {
+			return fmt.Errorf("%scentroid mass %d differs", pre, i)
+		}
+	}
+	if got, ref := cov.Result(), refCov.Result(); got != ref {
+		return fmt.Errorf("%sCoV %+v, reference %+v", pre, got, ref)
 	}
 	return nil
 }
@@ -188,108 +229,6 @@ func compareStreamed(chunk []trace.Interval, want []*trace.Interval, next int) (
 		next++
 	}
 	return next, nil
-}
-
-// StreamingParallel verifies the pipeline-parallel engine's bit-identity
-// claim: a trace.Run on the engine (the record/replay split at scale 1)
-// must reproduce the materialized reference interval-for-interval AND,
-// with the streamed chunks folded into the analysis consumers
-// (StreamProjector, StreamKMeans, CoVAccumulator), leave every
-// accumulator in a bit-identical state to the serial fold of the same
-// reference, at workers 2, 4, and 16. cfg must be the configuration want
-// was produced with (any Sink/ChunkSize/Workers in it is replaced).
-func StreamingParallel(cfg trace.Config, want *trace.Result) error {
-	if want == nil {
-		return fmt.Errorf("streaming-parallel: nil reference result")
-	}
-	const dims, seed, streamK = 15, 0xC1, 8
-	kmOpts := simpoint.Options{ForceK: streamK, Dims: dims, Seed: seed, Restarts: 2, MaxIters: 40, Workers: 1}
-
-	// Reference accumulator states: the serial fold over the materialized
-	// intervals. (The serial stream reproduces these bit-for-bit per
-	// Streaming; re-deriving them from want avoids a third trace run.)
-	refProj := simpoint.NewStreamProjector(want.NumBlocks, dims, seed)
-	refKM := simpoint.NewStreamKMeans(want.NumBlocks, kmOpts)
-	refCov := trace.NewCoVAccumulator(trace.IntervalPhase, trace.CPIMetric)
-	for _, iv := range want.Intervals {
-		refProj.Observe(iv)
-		refKM.Observe(iv)
-		refCov.Observe(iv)
-	}
-	refPts, refW := refProj.Matrix()
-	refRes := refKM.Finish()
-	refCovRes := refCov.Result()
-
-	for _, workers := range []int{2, 4, 16} {
-		c := cfg
-		c.ChunkSize = 64
-		c.Workers = workers
-		proj := simpoint.NewStreamProjector(want.NumBlocks, dims, seed)
-		km := simpoint.NewStreamKMeans(want.NumBlocks, kmOpts)
-		cov := trace.NewCoVAccumulator(trace.IntervalPhase, trace.CPIMetric)
-		next := 0
-		c.Sink = func(chunk []trace.Interval) error {
-			n, err := compareStreamed(chunk, want.Intervals, next)
-			if err != nil {
-				return err
-			}
-			next = n
-			proj.ObserveChunk(chunk)
-			km.ObserveChunk(chunk)
-			cov.ObserveChunk(chunk)
-			return nil
-		}
-		sres, err := trace.Run(c)
-		if err != nil {
-			return fmt.Errorf("streaming-parallel: workers=%d: %w", workers, err)
-		}
-		if next != len(want.Intervals) {
-			return fmt.Errorf("streaming-parallel: workers=%d: %d intervals streamed, %d materialized",
-				workers, next, len(want.Intervals))
-		}
-		if sres.Instructions != want.Instructions || sres.Total != want.Total ||
-			sres.MarkerFires != want.MarkerFires || sres.NumBlocks != want.NumBlocks {
-			return fmt.Errorf("streaming-parallel: workers=%d: totals differ: instrs %d/%d, fires %d/%d",
-				workers, sres.Instructions, want.Instructions, sres.MarkerFires, want.MarkerFires)
-		}
-
-		pts, weights := proj.Matrix()
-		if pts.N != refPts.N {
-			return fmt.Errorf("streaming-parallel: workers=%d: projected %d rows, reference %d", workers, pts.N, refPts.N)
-		}
-		for i := range refPts.Data {
-			if pts.Data[i] != refPts.Data[i] {
-				return fmt.Errorf("streaming-parallel: workers=%d: projection differs at element %d (row %d)",
-					workers, i, i/dims)
-			}
-		}
-		for i := range refW {
-			if weights[i] != refW[i] {
-				return fmt.Errorf("streaming-parallel: workers=%d: projection weight %d differs", workers, i)
-			}
-		}
-
-		res := km.Finish()
-		if res.K != refRes.K || res.Points != refRes.Points || res.SSE != refRes.SSE {
-			return fmt.Errorf("streaming-parallel: workers=%d: clustering K/points/SSE %d/%d/%v, reference %d/%d/%v",
-				workers, res.K, res.Points, res.SSE, refRes.K, refRes.Points, refRes.SSE)
-		}
-		for i := range refRes.Centers.Data {
-			if res.Centers.Data[i] != refRes.Centers.Data[i] {
-				return fmt.Errorf("streaming-parallel: workers=%d: centroid data differs at %d", workers, i)
-			}
-		}
-		for i := range refRes.Mass {
-			if res.Mass[i] != refRes.Mass[i] {
-				return fmt.Errorf("streaming-parallel: workers=%d: centroid mass %d differs", workers, i)
-			}
-		}
-
-		if got := cov.Result(); got != refCovRes {
-			return fmt.Errorf("streaming-parallel: workers=%d: CoV %+v, reference %+v", workers, got, refCovRes)
-		}
-	}
-	return nil
 }
 
 // Clustering verifies a SimPoint classification over numPoints intervals:

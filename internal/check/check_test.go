@@ -92,11 +92,10 @@ func TestInvariantsHoldOnPhasedProgram(t *testing.T) {
 		cfg  trace.Config
 		res  *trace.Result
 	}{{"fixed", fixedCfg, fixed}, {"marker", vliCfg, vli}} {
-		if err := Streaming(mode.cfg, mode.res); err != nil {
-			t.Errorf("%s streaming: %v", mode.name, err)
-		}
-		if err := StreamingParallel(mode.cfg, mode.res); err != nil {
-			t.Errorf("%s streaming-parallel: %v", mode.name, err)
+		for _, workers := range []int{1, 2} {
+			if err := Streaming(mode.cfg, mode.res, workers); err != nil {
+				t.Errorf("%s streaming at workers %d: %v", mode.name, workers, err)
+			}
 		}
 	}
 
@@ -206,15 +205,15 @@ func TestStreamingRejectsCorruption(t *testing.T) {
 			fmt.Sprintf("interval %d beyond the %d materialized", len(res.Intervals)-1, len(res.Intervals)-1)},
 	}
 	checks := []struct {
-		name string
-		run  func(trace.Config, *trace.Result) error
-	}{{"streaming", Streaming}, {"streaming-parallel", StreamingParallel}}
+		name    string
+		workers int
+	}{{"streaming", 1}, {"streaming-parallel", 2}}
 	for _, tc := range cases {
 		for _, c := range checks {
 			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
 				bad := cloneResult(res)
 				tc.corrupt(bad)
-				err := c.run(cfg, bad)
+				err := Streaming(cfg, bad, c.workers)
 				if err == nil {
 					t.Fatal("corruption not caught")
 				}

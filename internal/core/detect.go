@@ -85,18 +85,6 @@ func (d *Detector) markerOf(k EdgeKey) int32 {
 // Fired reports how many times marker i fired.
 func (d *Detector) Fired(i int) uint64 { return d.fired[i] }
 
-// Restart prepares the detector for another independent execution of the
-// same program: per-marker occurrence counts reset (so GroupN grouping
-// starts cold, exactly as in a fresh Detector) while the fired totals
-// keep accumulating across repetitions. It shadows the embedded
-// Walker.Restart, which re-opens the virtual root edges — entry-anchored
-// markers therefore fire again at the restart point, just as they do
-// when a new run begins. The same balanced-stack precondition applies.
-func (d *Detector) Restart() error {
-	clear(d.seen)
-	return d.Walker.Restart()
-}
-
 // Firing is one recorded marker firing: the marker's index in its set and
 // the dynamic instruction count at the firing point.
 type Firing struct {
@@ -110,6 +98,9 @@ type Firing struct {
 // reference the correctness harness compares instrumented binaries
 // against.
 func DetectFirings(prog *minivm.Program, set *MarkerSet, args ...int64) ([]Firing, *minivm.Machine, error) {
+	if err := prog.Check(); err != nil {
+		return nil, nil, fmt.Errorf("core: detect firings: %w", err)
+	}
 	var seq []Firing
 	det := NewDetector(prog, nil, set, func(marker int, at uint64) {
 		seq = append(seq, Firing{Marker: marker, At: at})

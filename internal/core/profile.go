@@ -119,6 +119,9 @@ func ProfileRunWorkers(prog *minivm.Program, workers int, args ...int64) (*Graph
 	if workers < 0 {
 		return nil, fmt.Errorf("core: negative workers (%d)", workers)
 	}
+	if err := prog.Check(); err != nil {
+		return nil, fmt.Errorf("core: profile: %w", err)
+	}
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
+	"phasemark/internal/minivm"
 	"phasemark/internal/workloads"
 )
 
@@ -61,5 +63,26 @@ func TestProfileRunWorkersRejectsNegative(t *testing.T) {
 	prog := mustCompile(t, callLoopProgram, false)
 	if _, err := ProfileRunWorkers(prog, -1, 4, 4); err == nil {
 		t.Fatal("workers -1: got nil error")
+	}
+}
+
+// An invalid program is an error wrapping minivm.ErrInvalidProgram, never
+// a panic: the profiler and the detector size their tables from
+// NumBlocks, so ProfileRunWorkers (on both paths) and DetectFirings
+// validate before building them.
+func TestProfileRejectsInvalidProgram(t *testing.T) {
+	w, err := workloads.ByName("gzip")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := *w.MustCompile(false)
+	bad.NumBlocks = -1
+	for _, workers := range []int{1, 2} {
+		if _, err := ProfileRunWorkers(&bad, workers, w.Train...); !errors.Is(err, minivm.ErrInvalidProgram) {
+			t.Errorf("ProfileRunWorkers %d: err = %v, want ErrInvalidProgram", workers, err)
+		}
+	}
+	if _, _, err := DetectFirings(&bad, &MarkerSet{}, w.Train...); !errors.Is(err, minivm.ErrInvalidProgram) {
+		t.Errorf("DetectFirings: err = %v, want ErrInvalidProgram", err)
 	}
 }

@@ -263,26 +263,6 @@ func (w *Walker) OnLoopExit(l *minivm.Loop) {
 	w.pop() // head
 }
 
-// Restart re-arms the walker for another execution of the same program,
-// re-opening the virtual root → entry-procedure edges at the current
-// instruction count. The previous run must have ended balanced (the
-// machine halted or returned from the entry procedure, leaving no open
-// traversals); the instruction counter is NOT reset, so a restarted walk
-// observes one long amplified execution. This is what trace.Run's Scale
-// amplifier uses between machine resets.
-func (w *Walker) Restart() error {
-	if n := len(w.stack); n != 0 {
-		return fmt.Errorf("core: restart with %d traversals still open", n)
-	}
-	for id, a := range w.act {
-		if a != 0 {
-			return fmt.Errorf("core: restart with unbalanced activations for proc %d: %d", id, a)
-		}
-	}
-	w.openRoot()
-	return nil
-}
-
 // Finish closes any traversals still open (none after a balanced run; a
 // truncated run closes what remains) and verifies internal consistency.
 func (w *Walker) Finish() error {

@@ -166,6 +166,9 @@ func Trace(prog *minivm.Program, set *core.MarkerSet, args ...int64) ([]int, err
 // oracle needs both halves — compilations must agree on what the program
 // computes and on when its markers fire.
 func TraceOutput(prog *minivm.Program, set *core.MarkerSet, args ...int64) (seq []int, out []int64, rv int64, err error) {
+	if err := prog.Check(); err != nil {
+		return nil, nil, 0, fmt.Errorf("crossbin: trace run: %w", err)
+	}
 	det := core.NewDetector(prog, nil, set, func(marker int, at uint64) {
 		seq = append(seq, marker)
 	})

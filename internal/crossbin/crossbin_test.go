@@ -1,6 +1,7 @@
 package crossbin
 
 import (
+	"errors"
 	"testing"
 
 	"phasemark/internal/compile"
@@ -288,5 +289,16 @@ func TestCrossISARegisterToStackMachine(t *testing.T) {
 		if len(t0) == 0 || !TracesEqual(t0, t1) {
 			t.Fatalf("cross-ISA traces differ on %v: %d vs %d firings", args, len(t0), len(t1))
 		}
+	}
+}
+
+// An invalid program is an error wrapping minivm.ErrInvalidProgram, never
+// a panic while the detector is sized from NumBlocks.
+func TestTraceOutputRejectsInvalidProgram(t *testing.T) {
+	plain, _ := compileBoth(t)
+	bad := *plain.Program
+	bad.NumBlocks = -1
+	if _, _, _, err := TraceOutput(&bad, &core.MarkerSet{}, 6, 30_000); !errors.Is(err, minivm.ErrInvalidProgram) {
+		t.Fatalf("err = %v, want ErrInvalidProgram", err)
 	}
 }

@@ -179,8 +179,7 @@ func NewMachine(prog *Program, observer Observer) *Machine {
 		MaxInstrs: DefaultMaxInstrs,
 		MaxDepth:  DefaultMaxDepth,
 	}
-	if err := prog.Validate(); err != nil {
-		m.err = fmt.Errorf("%w: %w", ErrInvalidProgram, err)
+	if m.err = prog.Check(); m.err != nil {
 		return m
 	}
 	m.mem = make([]int64, prog.GlobalWords)

@@ -46,6 +46,17 @@ func (p *Program) Validate() error {
 	return nil
 }
 
+// Check is Validate with a failure wrapped in ErrInvalidProgram, the
+// error Run returns for the program. An analysis that sizes tables from
+// the program's counts (NumBlocks, procedures) calls it before building
+// them, so an invalid program is an error rather than a panic.
+func (p *Program) Check() error {
+	if err := p.Validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidProgram, err)
+	}
+	return nil
+}
+
 // blockLoc names a block in validation errors. It formats only when an
 // error is built, so validating a well-formed program does not allocate
 // per block.

@@ -9,6 +9,22 @@ import (
 // that compute panics.
 var errComputePanicked = errors.New("store: compute panicked")
 
+// flight is one in-progress computation of a key, shared by every
+// concurrent requester of it: Memo's compute and Store's
+// disk-check-then-compute alike. The leader writes val and err exactly
+// once before closing ch; err starts as errComputePanicked and stays so
+// unless the leader's compute returns, so a leader that panics fails
+// its flight when the deferred release closes ch.
+type flight[V any] struct {
+	ch  chan struct{}
+	val V
+	err error
+}
+
+func newFlight[V any]() *flight[V] {
+	return &flight[V]{ch: make(chan struct{}), err: errComputePanicked}
+}
+
 // Memo is the in-memory counterpart of Store: a keyed, compute-once cache
 // with singleflight semantics for values that are too expensive (or
 // impossible) to serialize to disk — compiled programs, profiled graphs,
@@ -32,13 +48,7 @@ type Memo[K comparable, V any] struct {
 type memoEntry[V any] struct {
 	done     bool
 	val      V
-	inflight *memoFlight[V]
-}
-
-type memoFlight[V any] struct {
-	ch  chan struct{}
-	val V
-	err error
+	inflight *flight[V]
 }
 
 // DoOutcome returns the cached value for k, joins an in-flight
@@ -67,9 +77,7 @@ func (m *Memo[K, V]) DoOutcome(k K, compute func() (V, error)) (V, Outcome, erro
 		<-f.ch
 		return f.val, Joined, f.err
 	}
-	// f.err stays errComputePanicked unless compute returns, so the
-	// deferred release fails the flight if compute panics.
-	f := &memoFlight[V]{ch: make(chan struct{}), err: errComputePanicked}
+	f := newFlight[V]()
 	e.inflight = f
 	m.mu.Unlock()
 	defer func() {

@@ -126,16 +126,6 @@ type Stats struct {
 	SweptTmp    uint64 // leftover temp files removed by Open
 }
 
-// flight is one in-progress disk-check-then-compute, shared by every
-// concurrent requester of its key. val/err/outcome are written exactly
-// once before ch is closed.
-type flight struct {
-	ch      chan struct{}
-	val     []byte
-	outcome Outcome
-	err     error
-}
-
 // Store is a content-addressed artifact directory. It is safe for
 // concurrent use by multiple goroutines; multiple processes may share a
 // directory (atomic renames keep visible artifacts whole), though the
@@ -144,7 +134,7 @@ type Store struct {
 	dir string
 
 	mu       sync.Mutex
-	inflight map[Key]*flight
+	inflight map[Key]*flight[[]byte]
 
 	diskHits, computes, joins, joinErrs, computeErrs, writeErrs, sweptTmp atomic.Uint64
 
@@ -165,7 +155,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{dir: dir, inflight: map[Key]*flight{}}
+	s := &Store{dir: dir, inflight: map[Key]*flight[[]byte]{}}
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -242,8 +232,7 @@ func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func(context.Co
 		}
 		return f.val, Joined, f.err
 	}
-	// f.err stays errComputePanicked unless lead returns (see Memo).
-	f := &flight{ch: make(chan struct{}), err: errComputePanicked}
+	f := newFlight[[]byte]()
 	s.inflight[k] = f
 	s.mu.Unlock()
 	defer func() {
@@ -253,8 +242,9 @@ func (s *Store) GetOrCompute(ctx context.Context, k Key, compute func(context.Co
 		close(f.ch)
 	}()
 
-	f.val, f.outcome, f.err = s.lead(ctx, k, compute)
-	return f.val, f.outcome, f.err
+	var outcome Outcome
+	f.val, outcome, f.err = s.lead(ctx, k, compute)
+	return f.val, outcome, f.err
 }
 
 // lead is the flight leader's work: disk check, then compute + persist,

@@ -39,10 +39,3 @@ func (f *FixedCutter) OnBlock(b *minivm.Block) {
 	}
 	f.instrs += uint64(b.Weight())
 }
-
-// Rebase restarts the cut grid at the current instruction count: the
-// next cut fires step instructions from here, regardless of where the
-// previous grid point fell. Run's Scale amplifier calls it at
-// repetition boundaries so every repetition is segmented exactly like a
-// fresh run.
-func (f *FixedCutter) Rebase() { f.next = f.instrs + f.step }

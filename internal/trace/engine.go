@@ -6,38 +6,24 @@ import (
 	"sync"
 
 	"phasemark/internal/bbv"
-	"phasemark/internal/minivm"
 )
 
-// This file is the pipeline-parallel engine behind Config.Workers >= 2.
-// Two regimes, both bit-identical to the serial path in Run, streaming
-// or materializing:
+// This file runs the repetitions of an amplified trace (Config.Scale >=
+// 2). Each repetition is one fresh execution — analysisStack.run(cfg, 1)
+// on a new stack and machine — so it is cold by construction, and its
+// intervals carry repetition-local positions. One reducer, on the
+// caller's goroutine, takes the repetitions in order, rebases their
+// intervals onto the global axis and hands them to the Sink or keeps
+// them. At Workers 1 the repetitions run one after another and feed the
+// reducer inline. At two or more they fan out over min(Workers, Scale)
+// workers, repetitions w, w+W, w+2W, ... on worker w, each shipping deep
+// copies of its chunks through a bounded per-worker ring that the
+// reducer drains rep-major. Because every repetition is cold, its
+// interval sequence does not depend on which worker ran it or when, so
+// the merged stream equals the serial one byte for byte; chunk
+// partitioning was never part of the streaming contract.
 //
-//   - Single execution (Scale <= 1): the record/replay split,
-//     minivm.RunSplit. The interpreter runs on a producer goroutine and
-//     records the events the run's analysisStack consumes; the caller
-//     goroutine replays them into the stack's observer methods, the calls
-//     the serial machine makes (cutter/detector, timing model, BBV
-//     accumulator, collector, and Sink or the materialized Result).
-//     Replaying the total event order reproduces every cut, counter, and
-//     snapshot by construction.
-//
-//   - Amplified execution (Scale >= 2): rep-parallel workers. Each of
-//     min(Workers, Scale) workers owns an analysisStack and runs the
-//     serial repetition loop (analysisStack.repeat) with stride W:
-//     repetitions w, w+W, w+2W, ... as independent cold executions
-//     (Scale's contract), streaming rep-local chunks through a bounded
-//     per-worker ring. The caller-side reducer consumes chunks rep-major
-//     — all of rep 0, then rep 1, ... — rebases them onto the global
-//     instruction axis, and feeds the Sink in order or, materializing,
-//     keeps them as the Result's intervals.
-//     Because every repetition is cold, rep r's interval sequence does
-//     not depend on which worker ran it or when, so the merged stream
-//     equals the serial one byte for byte. Both loops flush each
-//     repetition's tail, though chunk partitioning was never part of
-//     the streaming contract.
-//
-// Neither regime returns while a goroutine it started is still running.
+// runReps does not return while a goroutine it started is still running.
 
 // repRingChunks is each rep worker's ring depth: one chunk in flight,
 // one being filled, one spare absorbing jitter.
@@ -47,48 +33,71 @@ const repRingChunks = 3
 // aborts; it never escapes to the caller (the originating error does).
 var errEngineStopped = errors.New("trace: engine stopped")
 
-// runEngine dispatches a run with Workers >= 2.
-func runEngine(cfg Config) (*Result, error) {
-	if runs := max(cfg.Scale, 1); runs >= 2 {
-		return runReps(cfg, runs)
-	}
-	return runSplit(cfg)
+// reducer stitches the repetitions' intervals onto the global axis.
+type reducer struct {
+	sink      func(chunk []Interval) error
+	base      runTotals   // totals of the repetitions already closed
+	intervals []*Interval // the kept intervals, when materializing
 }
 
-// runSplit is the single-execution regime: minivm.RunSplit interprets on
-// a producer goroutine and replays the events into the analysis stack on
-// this one, stopping the replay once a sink error poisons the collector.
-func runSplit(cfg Config) (*Result, error) {
-	// The analysis stack is constructed exactly as the serial path
-	// constructs it; in marker mode the detector's walker fires
-	// entry-edge opens here, before any event replays, just as
-	// NewDetector does before the serial machine starts.
-	s := newAnalysisStack(cfg, cfg.Sink)
-	total, err := minivm.RunSplit(cfg.Prog, s, func() bool { return s.col.err != nil }, cfg.Args...)
-	// Same precedence as the serial path: a failed execution trumps a
-	// sink error (the poisoned collector just kept it from growing memory
-	// in the meantime), and replay drift comes last.
-	if err != nil && !errors.Is(err, minivm.ErrReplayDrift) {
-		return nil, fmt.Errorf("trace: run failed: %w", err)
+// add rebases one chunk of the running repetition and hands it to the
+// sink, returning the sink's error, or keeps it when materializing; a
+// kept chunk must not be reused.
+func (r *reducer) add(chunk []Interval) error {
+	for i := range chunk {
+		chunk[i].Index += r.base.intervals
+		chunk[i].Start += r.base.instrs
+		chunk[i].End += r.base.instrs
 	}
-	if s.col.err != nil {
-		return nil, fmt.Errorf("trace: sink: %w", s.col.err)
+	if r.sink != nil {
+		return r.sink(chunk)
+	}
+	for i := range chunk {
+		r.intervals = append(r.intervals, &chunk[i])
+	}
+	return nil
+}
+
+// runReps executes an amplified run and builds its Result.
+func runReps(cfg Config) (*Result, error) {
+	r := &reducer{sink: cfg.Sink}
+	var err error
+	if cfg.Workers == 1 {
+		err = r.serial(cfg)
+	} else {
+		err = r.parallel(cfg, min(cfg.Workers, cfg.Scale))
 	}
 	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
+		return nil, err
 	}
+	return finish(cfg, r.intervals, r.base), nil
+}
 
-	s.col.cut(ProloguePhase, total)
-	s.col.flush()
-	if s.col.err != nil {
-		return nil, fmt.Errorf("trace: sink: %w", s.col.err)
+// serial runs the repetitions one after another on this goroutine. A
+// streaming repetition's collector delivers its chunks straight to the
+// reducer; a materializing one hands over deep copies, which the reducer
+// keeps.
+func (r *reducer) serial(cfg Config) error {
+	sink := r.add
+	if r.sink == nil {
+		sink = func(chunk []Interval) error {
+			var tc repChunk
+			tc.fill(chunk)
+			return r.add(tc.ivs)
+		}
 	}
-	return finish(cfg, s.col.intervals, s.col.count, runTotals{instrs: total, perf: s.cpu.Counters(), fires: s.fired()}), nil
+	for rep := 0; rep < cfg.Scale; rep++ {
+		t, err := newAnalysisStack(cfg, sink).run(cfg, 1)
+		if err != nil {
+			return err
+		}
+		r.base = r.base.add(t)
+	}
+	return nil
 }
 
 // repChunk is the rep-parallel transfer unit: a deep copy of one
-// streamed chunk in rep-local coordinates (the reducer rebases onto the
-// global axis), with its BBV entries carved from the chunk-owned
+// streamed chunk, with its BBV entries carved from the chunk-owned
 // idx/val arenas. A chunk with last set closes a repetition and carries
 // its totals; err reports a worker failure.
 type repChunk struct {
@@ -100,12 +109,11 @@ type repChunk struct {
 	err  error
 }
 
-// fill deep-copies chunk into tc, translating worker-cumulative
-// positions into rep-local ones. Two passes so the idx/val arenas are
+// fill deep-copies chunk into tc. Two passes so the idx/val arenas are
 // sized before any vector is carved from them (growing mid-copy would
 // invalidate earlier carves); at steady state the arenas are warm and
 // the copy allocates nothing.
-func (tc *repChunk) fill(chunk []Interval, instrBase uint64, indexBase int) {
+func (tc *repChunk) fill(chunk []Interval) {
 	entries := 0
 	for i := range chunk {
 		entries += len(chunk[i].BBV.Idx)
@@ -121,9 +129,6 @@ func (tc *repChunk) fill(chunk []Interval, instrBase uint64, indexBase int) {
 	tc.ivs = tc.ivs[:0]
 	for i := range chunk {
 		iv := chunk[i]
-		iv.Index -= indexBase
-		iv.Start -= instrBase
-		iv.End -= instrBase
 		if n := len(iv.BBV.Idx); n > 0 {
 			lo := len(tc.idx)
 			tc.idx = append(tc.idx, iv.BBV.Idx...)
@@ -134,12 +139,11 @@ func (tc *repChunk) fill(chunk []Interval, instrBase uint64, indexBase int) {
 	}
 }
 
-// repWorker runs repetitions w, w+W, w+2W, ... through the serial
-// repetition loop on its own analysis stack, shipping rep-local chunks
-// and each repetition's closing totals through its ring.
+// repWorker runs repetitions w, w+W, w+2W, ..., each a fresh run,
+// shipping its chunks and each repetition's closing totals through its
+// ring.
 func repWorker(cfg Config, w, W int, out chan<- *repChunk, free <-chan *repChunk, stop <-chan struct{}) {
 	defer close(out)
-	var s *analysisStack
 	ship := func(chunk []Interval, last bool, t runTotals) error {
 		var tc *repChunk
 		select {
@@ -147,7 +151,7 @@ func repWorker(cfg Config, w, W int, out chan<- *repChunk, free <-chan *repChunk
 		case <-stop:
 			return errEngineStopped
 		}
-		tc.fill(chunk, s.repInstr, s.repIndex)
+		tc.fill(chunk)
 		tc.last, tc.tot = last, t
 		select {
 		case out <- tc:
@@ -156,32 +160,33 @@ func repWorker(cfg Config, w, W int, out chan<- *repChunk, free <-chan *repChunk
 			return errEngineStopped
 		}
 	}
-	s = newAnalysisStack(cfg, func(chunk []Interval) error {
-		return ship(chunk, false, runTotals{})
-	})
-	_, err := s.repeat(cfg, w, W, func(t runTotals) error {
-		return ship(nil, true, t)
-	})
-	if err != nil && !errors.Is(err, errEngineStopped) {
-		// A dedicated chunk, never part of the ring, so no acquire can
-		// deadlock the report.
-		select {
-		case out <- &repChunk{err: err}:
-		case <-stop:
+	sink := func(chunk []Interval) error { return ship(chunk, false, runTotals{}) }
+	for rep := w; rep < cfg.Scale; rep += W {
+		t, err := newAnalysisStack(cfg, sink).run(cfg, 1)
+		if err == nil {
+			err = ship(nil, true, t)
+		}
+		if err != nil {
+			if !errors.Is(err, errEngineStopped) {
+				// A dedicated chunk, never part of the ring, so no
+				// acquire can deadlock the report.
+				select {
+				case out <- &repChunk{err: err}:
+				case <-stop:
+				}
+			}
+			return
 		}
 	}
 }
 
-// runReps is the amplified-execution regime: repetitions fan out over
-// min(Workers, Scale) workers; the reducer stitches their rep-local
-// streams back into the one global stream the serial path produces. A
-// materializing run keeps every rebased chunk (a deep copy, see fill)
-// and hands the worker a fresh one in its place.
+// parallel fans the repetitions out over W workers and reduces their
+// streams rep-major. A materializing run keeps every chunk it is handed
+// (a deep copy, see fill) and gives the worker a fresh one in its place.
 // Workers are stopped and joined on every return path, a sink panic
 // included; a worker cannot abandon a repetition mid-interpretation, so
 // an early return waits for at most each worker's current repetition.
-func runReps(cfg Config, runs int) (*Result, error) {
-	W := min(cfg.Workers, runs)
+func (r *reducer) parallel(cfg Config, W int) error {
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	defer func() {
@@ -204,45 +209,31 @@ func runReps(cfg Config, runs int) (*Result, error) {
 		}()
 	}
 
-	var sum runTotals
-	var index int
-	var intervals []*Interval
-	for rep := 0; rep < runs; rep++ {
+	var sinkErr error
+	for rep := 0; rep < cfg.Scale && sinkErr == nil; rep++ {
 		w := rep % W
-		repCount := 0
 		for {
 			tc, ok := <-outs[w]
 			if !ok {
-				return nil, fmt.Errorf("trace: rep worker %d exited before repetition %d", w, rep)
+				return fmt.Errorf("trace: rep worker %d exited before repetition %d", w, rep)
 			}
 			if tc.err != nil {
-				return nil, tc.err
-			}
-			if len(tc.ivs) > 0 {
-				// Rebase rep-local coordinates onto the global axis: the
-				// index and instruction bases advance by whole repetitions,
-				// at the rep's closing chunk below.
-				for i := range tc.ivs {
-					tc.ivs[i].Index += index
-					tc.ivs[i].Start += sum.instrs
-					tc.ivs[i].End += sum.instrs
-				}
-				repCount += len(tc.ivs)
-				if cfg.Sink == nil {
-					for i := range tc.ivs {
-						intervals = append(intervals, &tc.ivs[i])
-					}
-				} else if err := cfg.Sink(tc.ivs); err != nil {
-					return nil, fmt.Errorf("trace: sink: %w", err)
-				}
+				return tc.err
 			}
 			last := tc.last
-			if last {
-				sum = sum.add(tc.tot)
-				index += repCount
-			}
-			if cfg.Sink == nil && len(tc.ivs) > 0 {
-				tc = &repChunk{} // the Result keeps the filled one
+			switch {
+			case last:
+				r.base = r.base.add(tc.tot)
+			case sinkErr != nil:
+				// The sink failed earlier in this repetition: drain the
+				// rest unobserved, so that its execution's error, if any,
+				// takes precedence, as on the serial path.
+			default:
+				if err := r.add(tc.ivs); err != nil {
+					sinkErr = fmt.Errorf("trace: sink: %w", err)
+				} else if r.sink == nil {
+					tc = &repChunk{} // the reducer keeps the filled one
+				}
 			}
 			frees[w] <- tc // ring slot back to the worker (never full; errors are off-ring)
 			if last {
@@ -250,5 +241,5 @@ func runReps(cfg Config, runs int) (*Result, error) {
 			}
 		}
 	}
-	return finish(cfg, intervals, index, sum), nil
+	return sinkErr
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"phasemark/internal/compile"
+	"phasemark/internal/minivm"
 	"phasemark/internal/uarch"
 )
 
@@ -383,5 +385,102 @@ func TestScaleColdRepetitions(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A Scale run numbers and tiles its intervals on one global axis,
+// materializing and streaming, at every worker count: each repetition's
+// intervals carry local indices and positions, and the reducer rebases
+// them by the repetitions before it.
+func TestScaleGlobalAxis(t *testing.T) {
+	cfg, _ := compileAndMark(t, 50_000)
+	cfg.Scale, cfg.ChunkSize = 3, 4
+	for _, workers := range []int{1, 2} {
+		c := *cfg
+		c.Workers = workers
+		res, err := Run(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, _ := streamRun(t, c)
+		kept := make([]*Interval, len(streamed))
+		for i := range streamed {
+			kept[i] = &streamed[i]
+		}
+		for j, ivs := range [][]*Interval{res.Intervals, kept} {
+			label := fmt.Sprintf("workers %d %s", workers, []string{"materialized", "streamed"}[j])
+			var end uint64
+			for i, iv := range ivs {
+				if iv.Index != i || iv.Start != end {
+					t.Fatalf("%s: interval %d has index %d and starts at %d, want %d and %d",
+						label, i, iv.Index, iv.Start, i, end)
+				}
+				end = iv.End
+			}
+			if end != res.Instructions {
+				t.Fatalf("%s: intervals end at %d of %d", label, end, res.Instructions)
+			}
+		}
+	}
+}
+
+// An invalid program is an error wrapping minivm.ErrInvalidProgram on
+// every path, never a panic: Run validates before it sizes the timing
+// model's predictor, the BBV accumulator or the detector's tables from
+// NumBlocks.
+func TestTraceRejectsInvalidProgram(t *testing.T) {
+	cfg, _ := compileAndMark(t, 50_000)
+	bad := *cfg.Prog
+	bad.NumBlocks = -1
+	cfg.Prog = &bad
+	for _, rc := range []struct{ scale, workers int }{{1, 1}, {1, 2}, {3, 1}} {
+		c := *cfg
+		c.Scale, c.Workers = rc.scale, rc.workers
+		if _, err := Run(c); !errors.Is(err, minivm.ErrInvalidProgram) {
+			t.Errorf("scale %d workers %d: err = %v, want ErrInvalidProgram", rc.scale, rc.workers, err)
+		}
+	}
+}
+
+// divSrc runs reps rounds of work, then divides by zero.
+const divSrc = `
+array a[1024];
+proc work(n) {
+	var s = 0;
+	for (var i = 0; i < n; i = i + 1) { s = s + a[i & 1023] + i; }
+	return s;
+}
+proc main(reps, n) {
+	var s = 0;
+	var d = reps;
+	for (var r = 0; r < reps; r = r + 1) { s = s + work(n); d = d - 1; }
+	return s / d;
+}
+`
+
+// A run whose execution fails after its sink has already failed returns
+// the execution's error: a failed execution comes before a sink error,
+// on the serial machine, on the record/replay split, and in a Scale
+// repetition, serial or fanned out.
+func TestRunErrorPrecedence(t *testing.T) {
+	prog, err := compile.CompileSource(divSrc, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentinel := errors.New("sink full")
+	for _, rc := range []struct{ scale, workers int }{{1, 1}, {1, 2}, {3, 1}, {3, 2}} {
+		calls := 0
+		cfg := Config{
+			Prog: prog, Args: []int64{20, 5000}, FixedLen: 10_000, ChunkSize: 1,
+			Scale: rc.scale, Workers: rc.workers,
+			Sink: func([]Interval) error { calls++; return sentinel },
+		}
+		_, err := Run(cfg)
+		if !errors.Is(err, minivm.ErrDivByZero) || errors.Is(err, sentinel) {
+			t.Errorf("scale %d workers %d: err = %v, want the execution's division by zero", rc.scale, rc.workers, err)
+		}
+		if calls != 1 {
+			t.Errorf("scale %d workers %d: sink called %d times, want 1", rc.scale, rc.workers, calls)
+		}
 	}
 }

@@ -6,6 +6,7 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -89,11 +90,11 @@ type Config struct {
 	ChunkSize int
 
 	// Scale amplifies the trace by executing the program Scale times,
-	// producing one Scale×-long segmented execution. Each repetition is
-	// an independent cold run — machine state, timing model (caches,
-	// predictor, counters), cutter grid, and detector occurrence counts
-	// all reset at the boundary, and the repetition's final interval is
-	// closed there — tiled end to end on the instruction axis. Identical
+	// producing one Scale×-long segmented execution. Each repetition is a
+	// fresh execution — a new machine, timing model (caches, predictor,
+	// counters), cutter grid and detector — so it is cold by
+	// construction, and its final interval closes where it ends; the
+	// repetitions are tiled end to end on the instruction axis. Identical
 	// repetitions therefore produce identical interval sequences, which
 	// is what makes the amplified trace reproducible rep by rep (and lets
 	// Workers fan repetitions out without changing a single byte of
@@ -102,14 +103,15 @@ type Config struct {
 
 	// Workers is the number of goroutines the run may use: 0 (the
 	// default) means runtime.GOMAXPROCS(0), 1 the serial in-line path,
-	// and 2 or more the pipeline-parallel engine (engine.go) — trace
-	// production decoupled from analysis through a bounded ring of event
-	// buffers (single execution), or Scale repetitions fanned over
-	// min(Workers, Scale) machine instances and merged in rep-major order
-	// (amplified execution). Streaming and materializing runs alike are
-	// bit-identical to the serial path at any worker count; only
-	// wall-clock changes. Negative is an error. A caller that already
-	// runs several traces at once passes each its par.Share.
+	// and 2 or more the pipeline-parallel paths — trace production
+	// decoupled from analysis through the record/replay split,
+	// minivm.RunSplit (single execution), or Scale repetitions fanned
+	// over min(Workers, Scale) workers as fresh serial runs and merged in
+	// rep-major order (amplified execution, engine.go). Streaming and
+	// materializing runs alike are bit-identical to the serial path at
+	// any worker count; only wall-clock changes. Negative is an error. A
+	// caller that already runs several traces at once passes each its
+	// par.Share.
 	Workers int
 }
 
@@ -207,31 +209,32 @@ func (c *collector) flush() {
 
 // runTotals are the totals of a run, or of one repetition of it.
 type runTotals struct {
-	instrs uint64
-	perf   uarch.Counters
-	fires  uint64
+	intervals int
+	instrs    uint64
+	perf      uarch.Counters
+	fires     uint64
 }
 
 func (t runTotals) add(o runTotals) runTotals {
-	return runTotals{instrs: t.instrs + o.instrs, perf: t.perf.Add(o.perf), fires: t.fires + o.fires}
+	return runTotals{
+		intervals: t.intervals + o.intervals,
+		instrs:    t.instrs + o.instrs,
+		perf:      t.perf.Add(o.perf),
+		fires:     t.fires + o.fires,
+	}
 }
 
 // analysisStack is the one place an analysis run is wired: the timing
 // model, the interval collector, and the boundary source — marker
 // detector or fixed-length cutter — whose firings drive the collector's
-// cuts. It is the machine's one observer: the serial path and every
-// rep-parallel worker run it through repeat, and the record/replay split
-// replays recorded events into the same methods.
+// cuts. It observes one execution, driven by run: the serial machine
+// calls its methods, and the record/replay split replays recorded events
+// into the same methods.
 type analysisStack struct {
 	cpu   *uarch.CPU
 	col   *collector
 	det   *core.Detector // marker cutting, or
 	fixed *FixedCutter   // fixed-length cutting
-
-	// repInstr and repIndex locate the running repetition's start on the
-	// stack's own instruction and interval-index axes.
-	repInstr uint64
-	repIndex int
 }
 
 // newAnalysisStack builds the stack for cfg; the collector streams
@@ -310,59 +313,44 @@ func (s *analysisStack) fired() uint64 {
 	return s.det.TotalFired()
 }
 
-// repeat executes repetitions first, first+stride, ... of cfg's Scale on
-// one machine wired to the stack: the serial Scale loop is repeat(cfg, 0,
-// 1, nil), a rep-parallel worker's share is repeat(cfg, w, W, done).
-// Each repetition is an independent cold run — at the boundary the
-// machine and every observer reset (timing model cold, cutter grid
-// rebased, detector occurrence counts cleared) — tiled end to end on the
-// stack's instruction axis, so identical repetitions reproduce the same
-// interval sequence. A repetition's final interval is closed and its
-// chunk flushed when it ends; done, if set, then receives that
-// repetition's totals. repeat returns the sum over its repetitions and
-// stops at the first run, sink, or done error.
-func (s *analysisStack) repeat(cfg Config, first, stride int, done func(runTotals) error) (runTotals, error) {
-	m := minivm.NewMachine(cfg.Prog, s)
-
-	var sum runTotals
-	for rep := first; rep < max(cfg.Scale, 1); rep += stride {
-		if rep != first {
-			s.cpu.Reset()
-			s.col.lastPerf = uarch.Counters{}
-			m.Reset()
-			if s.det != nil {
-				if err := s.det.Restart(); err != nil {
-					return sum, fmt.Errorf("trace: scale restart: %w", err)
-				}
-			} else {
-				s.fixed.Rebase()
-			}
-		}
-		s.repInstr, s.repIndex = sum.instrs, s.col.count
-		if _, err := m.Run(cfg.Args...); err != nil {
-			return sum, fmt.Errorf("trace: run failed: %w", err)
-		}
-		t := runTotals{instrs: m.Instructions(), perf: s.cpu.Counters(), fires: s.fired() - sum.fires}
-		sum = sum.add(t)
-		s.col.cut(ProloguePhase, sum.instrs)
-		s.col.flush()
-		if s.col.err != nil {
-			return sum, fmt.Errorf("trace: sink: %w", s.col.err)
-		}
-		if done != nil {
-			if err := done(t); err != nil {
-				return sum, err
-			}
-		}
+// run drives one execution of cfg's program through the stack: on the
+// serial machine at one worker, and at two or more on minivm.RunSplit,
+// whose replay stops once a sink error poisons the collector. It then
+// closes the final interval and flushes the last chunk. Errors take one
+// precedence: a failed execution, then a sink error (the poisoned
+// collector only kept the doomed remainder from growing memory), then
+// replay drift.
+func (s *analysisStack) run(cfg Config, workers int) (runTotals, error) {
+	var instrs uint64
+	var err error
+	if workers >= 2 {
+		instrs, err = minivm.RunSplit(cfg.Prog, s, func() bool { return s.col.err != nil }, cfg.Args...)
+	} else {
+		m := minivm.NewMachine(cfg.Prog, s)
+		_, err = m.Run(cfg.Args...)
+		instrs = m.Instructions()
 	}
-	return sum, nil
+	if err != nil && !errors.Is(err, minivm.ErrReplayDrift) {
+		return runTotals{}, fmt.Errorf("trace: run failed: %w", err)
+	}
+	if err == nil {
+		s.col.cut(ProloguePhase, instrs)
+		s.col.flush()
+	}
+	if s.col.err != nil {
+		return runTotals{}, fmt.Errorf("trace: sink: %w", s.col.err)
+	}
+	if err != nil {
+		return runTotals{}, fmt.Errorf("trace: %w", err)
+	}
+	return runTotals{intervals: s.col.count, instrs: instrs, perf: s.cpu.Counters(), fires: s.fired()}, nil
 }
 
 // finish builds a completed run's Result (intervals is nil when
 // streaming) and records the run in the segmentation metrics.
-func finish(cfg Config, intervals []*Interval, count int, t runTotals) *Result {
+func finish(cfg Config, intervals []*Interval, t runTotals) *Result {
 	obsTraceRuns.Inc()
-	obsIntervals.Add(uint64(count))
+	obsIntervals.Add(uint64(t.intervals))
 	obsMarkerFires.Add(t.fires)
 	return &Result{
 		Intervals:    intervals,
@@ -381,6 +369,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Prog == nil {
 		return nil, fmt.Errorf("trace: nil program")
 	}
+	if err := cfg.Prog.Check(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
 	if cfg.FixedLen == 0 && cfg.Markers == nil {
 		return nil, fmt.Errorf("trace: need FixedLen or Markers")
 	}
@@ -393,16 +384,13 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Workers > 1 {
-		// Pipeline-parallel engine (engine.go): overlap trace production
-		// with analysis, and fan Scale repetitions over workers.
-		// Bit-identical to the serial path below.
-		return runEngine(cfg)
+	if cfg.Scale >= 2 {
+		return runReps(cfg)
 	}
 	s := newAnalysisStack(cfg, cfg.Sink)
-	t, err := s.repeat(cfg, 0, 1, nil)
+	t, err := s.run(cfg, cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return finish(cfg, s.col.intervals, s.col.count, t), nil
+	return finish(cfg, s.col.intervals, t), nil
 }

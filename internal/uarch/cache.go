@@ -46,7 +46,7 @@ type Cache struct {
 	tags       []uint64
 	size       []int32 // resident lines per set
 	// last is the block number of the previous access; lastOK guards the
-	// first access and is dropped by Reset.
+	// first access.
 	last   uint64
 	lastOK bool
 }
@@ -112,13 +112,6 @@ func (c *Cache) Depth(addr uint64) int {
 	return c.ways
 }
 
-// Reset returns the cache to its freshly-constructed state: all lines
-// dropped.
-func (c *Cache) Reset() {
-	clear(c.size)
-	c.lastOK = false
-}
-
 // Predictor is a table of two-bit saturating counters indexed by the
 // branch's static block ID.
 type Predictor struct {
@@ -146,12 +139,4 @@ func (p *Predictor) Predict(id int, taken bool) bool {
 		*ctr--
 	}
 	return pred == taken
-}
-
-// Reset returns the predictor to its freshly-constructed state: every
-// counter back to weakly not-taken.
-func (p *Predictor) Reset() {
-	for i := range p.table {
-		p.table[i] = 1
-	}
 }

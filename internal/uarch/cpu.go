@@ -110,18 +110,6 @@ func NewCPU(cfg Config, prog *minivm.Program) *CPU {
 // Counters snapshots the current totals.
 func (c *CPU) Counters() Counters { return c.ctr }
 
-// Reset returns the model to its freshly-constructed state: counters
-// zeroed, caches emptied, predictor back to its initial bias. A Reset
-// CPU observes a subsequent execution exactly as a new CPU would —
-// trace.Run relies on that to make every Scale repetition an
-// independent cold run.
-func (c *CPU) Reset() {
-	c.ctr = Counters{}
-	c.L1.Reset()
-	c.L2.Reset()
-	c.BP.Reset()
-}
-
 // OnBlock charges b's instructions at the base rate of one per cycle.
 func (c *CPU) OnBlock(b *minivm.Block) {
 	w := uint64(b.Weight())

@@ -84,15 +84,6 @@ func TestCacheSpatialLocality(t *testing.T) {
 	}
 }
 
-func TestCacheFlush(t *testing.T) {
-	c := NewCache(CacheConfig{BlockBytes: 64, Sets: 2, Ways: 2})
-	c.Access(0)
-	c.Reset()
-	if c.Access(0) {
-		t.Error("reset must drop lines")
-	}
-}
-
 // Property: a larger cache (more ways) never has more misses on any trace
 // — LRU inclusion.
 func TestLRUInclusionProperty(t *testing.T) {
