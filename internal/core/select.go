@@ -317,6 +317,9 @@ func sortedOut(n *Node) []*Edge {
 	return es
 }
 
+// meanStd is the population mean and standard deviation of xs, in two
+// passes: a one-pass stats.Welford fold may round differently, and the
+// selection goldens pin these bits.
 func meanStd(xs []float64) (mean, std float64) {
 	if len(xs) == 0 {
 		return 0, 0

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 
+	"phasemark/internal/check"
 	"phasemark/internal/core"
 	"phasemark/internal/minivm"
 	"phasemark/internal/simpoint"
@@ -355,8 +356,10 @@ func newDetectorFire() (func() (uint64, error), error) {
 // newDetectorFireMin is detector_fire on the minimized placement: same
 // program, input, and marker selection, with core.MinimizeMarkers pruning
 // the redundant sites first. Setup fails rather than benchmark a placement
-// that changes behavior: the minimized run's firing sequence must be the
-// full run's restricted to the kept markers, instant for instant.
+// that changes behavior: check.Placement must hold, so no kept marker
+// changed, the minimized run's firing sequence is the full run's
+// restricted to the kept markers, instant for instant, and both runs
+// retire the same instructions.
 func newDetectorFireMin() (func() (uint64, error), error) {
 	prog, w, err := compiled("art", false)
 	if err != nil {
@@ -371,32 +374,8 @@ func newDetectorFireMin() (func() (uint64, error), error) {
 	if rep.Kept >= rep.Full || rep.Kept == 0 {
 		return nil, fmt.Errorf("detector_fire_min: degenerate placement: kept %d of %d markers", rep.Kept, rep.Full)
 	}
-	fullSeq, _, err := core.DetectFirings(prog, set, w.Train...)
-	if err != nil {
-		return nil, err
-	}
-	minSeq, _, err := core.DetectFirings(prog, min, w.Train...)
-	if err != nil {
-		return nil, err
-	}
-	fullBy := set.ByKey()
-	remap := make(map[int]int, len(min.Markers))
-	for i, m := range min.Markers {
-		remap[fullBy[m.Key]] = i
-	}
-	k := 0
-	for _, f := range fullSeq {
-		mi, kept := remap[f.Marker]
-		if !kept {
-			continue
-		}
-		if k >= len(minSeq) || minSeq[k].Marker != mi || minSeq[k].At != f.At {
-			return nil, fmt.Errorf("detector_fire_min: minimized firings diverge from the full set's restriction at firing %d", k)
-		}
-		k++
-	}
-	if k != len(minSeq) {
-		return nil, fmt.Errorf("detector_fire_min: minimized run fired %d times, restriction predicts %d", len(minSeq), k)
+	if err := check.Placement(prog, set, min, 0, w.Train...); err != nil {
+		return nil, fmt.Errorf("detector_fire_min: %w", err)
 	}
 	loops := minivm.FindLoops(prog)
 	return func() (uint64, error) {

@@ -79,8 +79,9 @@ func NewGate(workers, queue int) *Gate {
 // reject if draining, reject if the queue is full, otherwise wait for an
 // execution slot (recording queue wait, as a metric and — when ctx
 // carries a request span — a SpanQueue child span) and run (recording
-// exec time). The returned error is ErrDraining, ErrSaturated, or fn's
-// own error.
+// exec time). A request whose ctx ends while it waits leaves the queue
+// without running fn. The returned error is ErrDraining, ErrSaturated,
+// ctx's error, or fn's own error.
 func (g *Gate) Do(ctx context.Context, fn func() error) error {
 	if g.draining.Load() {
 		obsRejectedDrain.Inc()
@@ -98,7 +99,13 @@ func (g *Gate) Do(ctx context.Context, fn func() error) error {
 	obsQueued.Add(1)
 	qsp := obs.SpanFromContext(ctx).Child(SpanQueue, "")
 	enqueued := time.Now()
-	g.slots <- struct{}{}
+	select {
+	case g.slots <- struct{}{}:
+	case <-ctx.Done():
+		qsp.End()
+		obsQueued.Add(-1)
+		return ctx.Err()
+	}
 	defer func() { <-g.slots }()
 	start := time.Now()
 	qsp.End()

@@ -2,9 +2,13 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"phasemark/internal/obs"
 )
 
 // waitFull blocks until the gate's admission semaphore is fully occupied,
@@ -88,6 +92,70 @@ func TestGateClampsDegenerateBounds(t *testing.T) {
 	close(block)
 	if err := <-errc; err != nil {
 		t.Fatalf("blocked work errored: %v", err)
+	}
+}
+
+// TestGateQueuedCancel checks that a request whose context ends while it
+// waits for a slot leaves the queue at once with the context's error and
+// never runs: its token, its service.queued count and its req.queue span
+// are released, and the server answers it 499, not 500.
+func TestGateQueuedCancel(t *testing.T) {
+	g := NewGate(1, 1)
+	block := make(chan struct{})
+	started := make(chan struct{})
+	held := make(chan error, 1)
+	go func() { held <- g.Do(context.Background(), func() error { close(started); <-block; return nil }) }()
+	<-started
+	defer func() {
+		close(block)
+		if err := <-held; err != nil {
+			t.Errorf("slot holder errored: %v", err)
+		}
+	}()
+
+	queueSpansEnded := func() uint64 {
+		for _, st := range obs.Snapshot().Stages {
+			if st.Name == SpanQueue {
+				return st.Count
+			}
+		}
+		return 0
+	}
+	queued, ended := obsQueued.Load(), queueSpansEnded()
+	root := obs.StartSpan("req", "")
+	defer root.End()
+	ctx, cancel := context.WithCancel(obs.ContextWithSpan(context.Background(), root))
+	var ran atomic.Bool
+	done := make(chan error, 1)
+	go func() { done <- g.Do(ctx, func() error { ran.Store(true); return nil }) }()
+	waitFull(t, g)
+	cancel()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a queued Do whose context was cancelled did not return")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled queued Do = %v, want context.Canceled", err)
+	}
+	if ran.Load() {
+		t.Fatal("a cancelled queued Do ran its function")
+	}
+	if n := len(g.tokens); n != 1 {
+		t.Errorf("%d tokens held after the cancelled Do returned, want the slot holder's 1", n)
+	}
+	if n := obsQueued.Load(); n != queued {
+		t.Errorf("service.queued = %d after the cancelled Do returned, want %d", n, queued)
+	}
+	if kids := root.Snapshot().Children; len(kids) != 1 || kids[0].Name != SpanQueue {
+		t.Errorf("request span children %+v, want one %s span", kids, SpanQueue)
+	}
+	if n := queueSpansEnded() - ended; n != 1 {
+		t.Errorf("%d %s spans ended by the cancelled Do, want 1", n, SpanQueue)
+	}
+	if code := status(err); code != statusClientClosed {
+		t.Errorf("status(%v) = %d, want %d", err, code, statusClientClosed)
 	}
 }
 

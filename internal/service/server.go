@@ -180,6 +180,11 @@ func endpoint[T any](name string,
 	return api{count: obs.NewCounter("service.req." + name), dispatch: dispatch}
 }
 
+// statusClientClosed is the status of a request whose client left while
+// it waited for an execution slot (nginx's 499): no client reads it, but
+// the request counts as a 4xx, not a server error.
+const statusClientClosed = 499
+
 // status maps a dispatch error to its HTTP status.
 func status(err error) int {
 	var reqErr *RequestError
@@ -192,6 +197,8 @@ func status(err error) int {
 		return http.StatusTooManyRequests
 	case errors.Is(err, ErrDraining):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, context.Canceled):
+		return statusClientClosed
 	default:
 		return http.StatusInternalServerError
 	}

@@ -46,11 +46,6 @@ func (r *RNG) NormFloat64() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// Split derives an independent child generator; the parent advances once.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xa5a5a5a5deadbeef)
-}
-
 // DeriveSeed derives an independent child seed from a base seed and a
 // tuple of identifiers (e.g. a k-means run's (k, restart) pair) by
 // folding each identifier through a splitmix64 step. It is a pure
@@ -63,19 +58,6 @@ func DeriveSeed(base uint64, ids ...uint64) uint64 {
 		s = NewRNG(s ^ id*0x9e3779b97f4a7c15).Uint64()
 	}
 	return s
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // Projection is a dense random linear projection from dim inputs to k

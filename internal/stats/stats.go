@@ -133,13 +133,3 @@ func (a *Weighted) CoV() float64 {
 	}
 	return math.Abs(a.StdDev() / a.mean)
 }
-
-// MeanStd computes the unweighted mean and population standard deviation of
-// xs in one pass. It returns (0, 0) for an empty slice.
-func MeanStd(xs []float64) (mean, std float64) {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Mean(), w.StdDev()
-}

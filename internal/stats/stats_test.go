@@ -138,18 +138,6 @@ func TestRNGDeterminismAndRange(t *testing.T) {
 	}
 }
 
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(123)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGUniformity(t *testing.T) {
 	r := NewRNG(99)
 	buckets := make([]int, 10)
@@ -218,16 +206,6 @@ func TestProjectionSparseMatchesDense(t *testing.T) {
 		if d[i] != s[i] {
 			t.Fatalf("sparse != dense at %d: %v vs %v", i, s[i], d[i])
 		}
-	}
-}
-
-func TestMeanStd(t *testing.T) {
-	m, s := MeanStd([]float64{1, 2, 3, 4})
-	if !almostEqual(m, 2.5, 1e-12) || !almostEqual(s, math.Sqrt(1.25), 1e-12) {
-		t.Errorf("got %v, %v", m, s)
-	}
-	if m, s := MeanStd(nil); m != 0 || s != 0 {
-		t.Error("empty MeanStd must be zero")
 	}
 }
 

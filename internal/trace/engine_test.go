@@ -61,7 +61,8 @@ func equalStreams(t *testing.T, got, want []Interval, label string) {
 // stream and identical totals at every worker count and chunk size, in
 // both cutting modes, at scale 1 (record/replay split) and scale 5
 // (rep-parallel workers), against the serial stream (Workers 1). Run
-// under -race this also exercises the ring handoffs for data races.
+// under -race this also exercises the split's ring and the repetition
+// handoffs for data races.
 func TestEngineParallelDeterminism(t *testing.T) {
 	for _, mode := range []string{"marker", "fixed"} {
 		for _, scale := range []int{1, 5} {
@@ -105,20 +106,22 @@ func TestEngineParallelDeterminism(t *testing.T) {
 // materializing run on the engine equals the serial one bit for bit,
 // BBVs included, at every worker count, in both cutting modes, at scale
 // 1 (record/replay split) and scale 5 (rep-parallel workers). CI runs it
-// with -cpu 1,4 so the default lands on each side of the choice.
+// with -cpu 1,4,8 so the default lands on each side of the choice.
 func TestEngineMaterializing(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		cfg, _ := compileAndMark(t, 50_000)
 		cfg.Markers, cfg.FixedLen = nil, 5_000
 		cfg.Args = []int64{1, 2000}
-		cfg.Scale, cfg.ChunkSize = 8, 1
+		cfg.Scale, cfg.ChunkSize = 3*runtime.GOMAXPROCS(0), 1
 		for _, workers := range []int{0, 1} {
-			// The first chunk reaches the sink while every rep worker is
-			// still running: worker 0 has yet to close repetition 0, and
-			// each other worker has more chunks to ship than its ring
-			// holds. So the goroutines alive then are exactly the
-			// engine's min(Workers, Scale) rep workers, and none on the
-			// serial path.
+			// Every rep worker has three repetitions, and the first
+			// chunk reaches the sink after the reducer has taken
+			// repetition 0 whole. A worker exits only after handing
+			// over its third repetition, which waits in its one-slot
+			// channel until the reducer has taken its second, after
+			// repetition 0. So, whatever the timing, the goroutines
+			// alive then are exactly the engine's min(Workers, Scale)
+			// rep workers, and none on the serial path.
 			want := 0
 			if workers == 0 && runtime.GOMAXPROCS(0) > 1 {
 				want = min(runtime.GOMAXPROCS(0), cfg.Scale)
@@ -149,9 +152,9 @@ func TestEngineMaterializing(t *testing.T) {
 				if mode == "fixed" {
 					cfg.Markers, cfg.FixedLen = nil, 20_000
 				}
-				// Rep workers ship chunks of ChunkSize even when the run
-				// materializes; small ones make the reducer hand ring
-				// slots back between chunks it keeps.
+				// A materializing run ignores ChunkSize at every worker
+				// count (repetitions travel whole), so a small one must
+				// change nothing.
 				cfg.ChunkSize = 2
 				cfg.Scale, cfg.Workers = scale, 1
 				want, err := Run(*cfg)
@@ -481,6 +484,39 @@ func TestRunErrorPrecedence(t *testing.T) {
 		}
 		if calls != 1 {
 			t.Errorf("scale %d workers %d: sink called %d times, want 1", rc.scale, rc.workers, calls)
+		}
+	}
+}
+
+// A failed repetition reaches the sink as it does on the serial path, at
+// every worker count: its full chunks, never the partial one its
+// collector had not flushed, then its execution's error.
+func TestFailedRepetitionStream(t *testing.T) {
+	prog, err := compile.CompileSource(divSrc, compile.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range []int{1, 3, 7} {
+		var want []Interval
+		for _, workers := range []int{1, 2, 4} {
+			var got []Interval
+			cfg := Config{
+				Prog: prog, Args: []int64{20, 5000}, FixedLen: 10_000, ChunkSize: chunk,
+				Scale: 3, Workers: workers,
+				Sink: func(c []Interval) error { got = append(got, copyIntervals(c)...); return nil },
+			}
+			label := fmt.Sprintf("chunk %d workers %d", chunk, workers)
+			if _, err := Run(cfg); !errors.Is(err, minivm.ErrDivByZero) {
+				t.Fatalf("%s: err = %v, want the execution's division by zero", label, err)
+			}
+			if workers == 1 {
+				if len(got) < 2*chunk || len(got)%chunk != 0 {
+					t.Fatalf("%s: serial path delivered %d intervals, want whole chunks", label, len(got))
+				}
+				want = got
+				continue
+			}
+			equalStreams(t, got, want, label)
 		}
 	}
 }

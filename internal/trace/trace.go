@@ -80,9 +80,11 @@ type Config struct {
 	// every Interval in it — including BBV storage — are owned by the
 	// tracer and recycled after Sink returns; a sink must finish with (or
 	// deep-copy) anything it keeps. Working memory is then bounded by the
-	// chunk instead of the trace. A Sink error aborts the run. A Sink
-	// panic is not recovered: it propagates to Run's caller, after any
-	// goroutine Run started has been stopped and joined.
+	// chunk instead of the trace, or by 2W+1 repetitions when W workers
+	// run Scale repetitions, which travel whole (see Workers). A Sink
+	// error aborts the run. A Sink panic is not recovered: it propagates
+	// to Run's caller, after any goroutine Run started has been stopped
+	// and joined.
 	Sink func(chunk []Interval) error
 
 	// ChunkSize is the streaming chunk capacity in intervals (default 256).
@@ -106,8 +108,9 @@ type Config struct {
 	// and 2 or more the pipeline-parallel paths — trace production
 	// decoupled from analysis through the record/replay split,
 	// minivm.RunSplit (single execution), or Scale repetitions fanned
-	// over min(Workers, Scale) workers as fresh serial runs and merged in
-	// rep-major order (amplified execution, engine.go). Streaming and
+	// over W = min(Workers, Scale) workers as fresh serial runs, each
+	// handed over whole through its worker's one-slot channel and taken
+	// in order (amplified execution, engine.go). Streaming and
 	// materializing runs alike are bit-identical to the serial path at
 	// any worker count; only wall-clock changes. Negative is an error. A
 	// caller that already runs several traces at once passes each its
@@ -142,7 +145,8 @@ type collector struct {
 	curPhase int
 }
 
-// intervalChunk is the Interval arena granularity.
+// intervalChunk is the materializing Interval arena granularity and the
+// default ChunkSize.
 const intervalChunk = 256
 
 func (c *collector) cut(phase int, at uint64) {
@@ -249,11 +253,7 @@ func newAnalysisStack(cfg Config, sink func(chunk []Interval) error) *analysisSt
 		curPhase: ProloguePhase,
 	}
 	if sink != nil {
-		chunk := cfg.ChunkSize
-		if chunk <= 0 {
-			chunk = intervalChunk
-		}
-		col.arena = make([]Interval, 0, chunk)
+		col.arena = make([]Interval, 0, cfg.ChunkSize)
 	}
 	s := &analysisStack{cpu: cpu, col: col}
 	if cfg.FixedLen > 0 {
@@ -383,6 +383,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
+	}
+	if cfg.ChunkSize <= 0 {
+		cfg.ChunkSize = intervalChunk
 	}
 	if cfg.Scale >= 2 {
 		return runReps(cfg)
