@@ -15,8 +15,8 @@ package check
 import (
 	"fmt"
 	"math"
+	"slices"
 
-	"phasemark/internal/compile"
 	"phasemark/internal/core"
 	"phasemark/internal/crossbin"
 	"phasemark/internal/minivm"
@@ -105,14 +105,13 @@ func Segmentation(res *trace.Result, numMarkers int) error {
 // must reproduce the materialized reference bit-for-bit — every interval
 // (bounds, phase, performance counters, BBV) and the run totals — and,
 // with the streamed chunks folded into the analysis consumers, leave
-// each in the state the reference gives: the online projection
-// (simpoint.StreamProjector) equal to the batch projection of the
-// reference intervals, and the streamed clustering (StreamKMeans) and
-// CoV (CoVAccumulator) equal to their serial folds over the reference.
-// The comparison is incremental — each chunk is checked and released —
-// so the check itself stays memory-bounded on the streaming side. cfg
-// must be the configuration want was produced with (any
-// Sink/ChunkSize/Workers in it is replaced).
+// each in the state the reference gives: the streamed clustering
+// (StreamKMeans) and CoV (CoVAccumulator) equal to their serial folds
+// over the reference, which catches a consumer that keeps the recycled
+// chunk storage. The comparison is incremental — each chunk is checked
+// and released — so the check itself stays memory-bounded on the
+// streaming side. cfg must be the configuration want was produced with
+// (any Sink/ChunkSize/Workers in it is replaced).
 func Streaming(cfg trace.Config, want *trace.Result, workers int) error {
 	if want == nil {
 		return fmt.Errorf("streaming: nil reference result")
@@ -130,7 +129,6 @@ func Streaming(cfg trace.Config, want *trace.Result, workers int) error {
 	}
 	refRes := refKM.Finish()
 
-	proj := simpoint.NewStreamProjector(want.NumBlocks, dims, seed)
 	km := simpoint.NewStreamKMeans(want.NumBlocks, kmOpts)
 	cov := trace.NewCoVAccumulator(trace.IntervalPhase, trace.CPIMetric)
 	next := 0
@@ -142,7 +140,6 @@ func Streaming(cfg trace.Config, want *trace.Result, workers int) error {
 			return err
 		}
 		next = n
-		proj.ObserveChunk(chunk)
 		km.ObserveChunk(chunk)
 		cov.ObserveChunk(chunk)
 		return nil
@@ -164,37 +161,13 @@ func Streaming(cfg trace.Config, want *trace.Result, workers int) error {
 			sres.Instructions, want.Instructions, sres.MarkerFires, want.MarkerFires)
 	}
 
-	// Online projection must equal the batch projection of the reference.
-	batch, batchW := simpoint.ProjectIntervals(want.Intervals, want.NumBlocks, dims, seed)
-	pts, weights := proj.Matrix()
-	if pts.N != batch.N {
-		return fmt.Errorf("%sprojected %d rows, batch %d", pre, pts.N, batch.N)
-	}
-	for i := range batch.Data {
-		if pts.Data[i] != batch.Data[i] {
-			return fmt.Errorf("%sprojection differs at element %d (row %d)", pre, i, i/dims)
-		}
-	}
-	for i := range batchW {
-		if weights[i] != batchW[i] {
-			return fmt.Errorf("%sprojection weight %d differs", pre, i)
-		}
-	}
-
 	res := km.Finish()
 	if res.K != refRes.K || res.Points != refRes.Points || res.SSE != refRes.SSE {
 		return fmt.Errorf("%sclustering K/points/SSE %d/%d/%v, reference %d/%d/%v", pre,
 			res.K, res.Points, res.SSE, refRes.K, refRes.Points, refRes.SSE)
 	}
-	for i := range refRes.Centers.Data {
-		if res.Centers.Data[i] != refRes.Centers.Data[i] {
-			return fmt.Errorf("%scentroid data differs at %d", pre, i)
-		}
-	}
-	for i := range refRes.Mass {
-		if res.Mass[i] != refRes.Mass[i] {
-			return fmt.Errorf("%scentroid mass %d differs", pre, i)
-		}
+	if !slices.Equal(res.Centers.Data, refRes.Centers.Data) || !slices.Equal(res.Mass, refRes.Mass) {
+		return fmt.Errorf("%scentroids differ from the reference's", pre)
 	}
 	if got, ref := cov.Result(), refCov.Result(); got != ref {
 		return fmt.Errorf("%sCoV %+v, reference %+v", pre, got, ref)
@@ -284,7 +257,7 @@ func Clustering(c *simpoint.Clustering, numPoints int) error {
 // marker, and the inserted marks must not change the program's observable
 // behavior (out() stream and return value).
 func DetectorInstrument(prog *minivm.Program, set *core.MarkerSet, args ...int64) error {
-	det, md, err := core.DetectFirings(prog, set, args...)
+	det, md, _, err := core.DetectFirings(prog, set, args...)
 	if err != nil {
 		return fmt.Errorf("detector/instrument: %w", err)
 	}
@@ -292,8 +265,8 @@ func DetectorInstrument(prog *minivm.Program, set *core.MarkerSet, args ...int64
 	if err != nil {
 		return fmt.Errorf("detector/instrument: %w", err)
 	}
-	if err := equalOutputs(md.Output(), mi.Output()); err != nil {
-		return fmt.Errorf("detector/instrument: instrumentation changed behavior: %w", err)
+	if !slices.Equal(md.Output(), mi.Output()) {
+		return fmt.Errorf("detector/instrument: instrumentation changed the out() stream")
 	}
 	if len(det) != len(inst) {
 		return fmt.Errorf("detector/instrument: %d detector fires vs %d instrumented fires",
@@ -343,11 +316,11 @@ func Placement(prog *minivm.Program, full, min *core.MarkerSet, iupper uint64, a
 		}
 		remap[fi] = i
 	}
-	fullSeq, mf, err := core.DetectFirings(prog, full, args...)
+	fullSeq, mf, _, err := core.DetectFirings(prog, full, args...)
 	if err != nil {
 		return fmt.Errorf("placement: full detect: %w", err)
 	}
-	minSeq, mm, err := core.DetectFirings(prog, min, args...)
+	minSeq, mm, _, err := core.DetectFirings(prog, min, args...)
 	if err != nil {
 		return fmt.Errorf("placement: minimized detect: %w", err)
 	}
@@ -406,111 +379,21 @@ func maxFiringGap(seq []core.Firing, total uint64) uint64 {
 	return gap
 }
 
-// Backends compiles src with each differential-oracle backend: the -O0
-// register binary (the analysis reference), the optimizing register
-// build, and the stack-machine ISA.
-func Backends(src string) (o0, opt, stack *minivm.Program, err error) {
-	if o0, err = compile.CompileSource(src, compile.Options{}); err != nil {
-		return nil, nil, nil, fmt.Errorf("backends: -O0: %w", err)
-	}
-	if opt, err = compile.CompileSource(src, compile.Options{Optimize: true}); err != nil {
-		return nil, nil, nil, fmt.Errorf("backends: optimized: %w", err)
-	}
-	if stack, err = compile.CompileSource(src, compile.Options{Stack: true}); err != nil {
-		return nil, nil, nil, fmt.Errorf("backends: stack: %w", err)
-	}
-	return o0, opt, stack, nil
-}
-
-// CrossBinary is the differential backend oracle for one source program:
-// all three backends must produce identical observable output on args,
-// and markers selected on the -O0 binary, mapped through source debug
-// info (internal/crossbin), must fire identically on every binary. When a
-// backend compiles some markers away, the surviving subset must still
-// fire identically (crossbin.Restrict), matching the §6.2.1 protocol.
-// prog must be the -O0 compilation of src that set was selected on.
+// CrossBinary is the differential backend oracle for one source program,
+// crossbin.Compare's report turned into an error: every build must
+// produce -O0's observable output on args, and markers selected on the
+// -O0 binary, mapped through source debug info, must fire identically on
+// every build (where a build compiled some away, the surviving subset
+// must, matching the §6.2.1 protocol). prog must be the -O0 compilation
+// of src that set was selected on.
 func CrossBinary(src string, prog *minivm.Program, set *core.MarkerSet, args ...int64) error {
-	_, opt, stack, err := Backends(src)
+	c, err := crossbin.Compare(src, prog, set, args...)
 	if err != nil {
 		return fmt.Errorf("cross-binary: %w", err)
 	}
-	seq0, out0, rv0, err := crossbin.TraceOutput(prog, set, args...)
-	if err != nil {
-		return fmt.Errorf("cross-binary: -O0: %w", err)
-	}
-	for _, tgt := range []struct {
-		name string
-		prog *minivm.Program
-	}{{"optimized", opt}, {"stack", stack}} {
-		mapped, rep, err := crossbin.MapMarkers(set, prog, tgt.prog)
-		if err != nil {
-			return fmt.Errorf("cross-binary: map to %s: %w", tgt.name, err)
-		}
-		ref := seq0
-		if len(rep.Unmapped) > 0 {
-			// Markers compiled away: the surviving subset must still agree.
-			restricted := crossbin.Restrict(set, rep.Unmapped)
-			if len(restricted.Markers) != rep.Mapped {
-				return fmt.Errorf("cross-binary: %s: restrict kept %d markers, mapping kept %d",
-					tgt.name, len(restricted.Markers), rep.Mapped)
-			}
-			if ref, _, _, err = crossbin.TraceOutput(prog, restricted, args...); err != nil {
-				return fmt.Errorf("cross-binary: -O0 restricted: %w", err)
-			}
-		}
-		seq, out, rv, err := crossbin.TraceOutput(tgt.prog, mapped, args...)
-		if err != nil {
-			return fmt.Errorf("cross-binary: %s: %w", tgt.name, err)
-		}
-		if rv != rv0 {
-			return fmt.Errorf("cross-binary: %s returned %d, -O0 returned %d", tgt.name, rv, rv0)
-		}
-		if err := equalOutputs(out0, out); err != nil {
-			return fmt.Errorf("cross-binary: %s output differs from -O0: %w", tgt.name, err)
-		}
-		if i := firstDiff(ref, seq); i >= 0 {
-			return fmt.Errorf("cross-binary: %s marker trace diverges from -O0 at firing %d (of %d vs %d): %s",
-				tgt.name, i, len(ref), len(seq), diffAt(ref, seq, i))
-		}
-	}
-	return nil
-}
-
-// firstDiff returns the first index where two firing sequences differ
-// (length counts), or -1 when identical.
-func firstDiff(a, b []int) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	if len(a) != len(b) {
-		return n
-	}
-	return -1
-}
-
-func diffAt(a, b []int, i int) string {
-	get := func(s []int) string {
-		if i < len(s) {
-			return fmt.Sprintf("marker %d", s[i])
-		}
-		return "end of trace"
-	}
-	return fmt.Sprintf("%s vs %s", get(a), get(b))
-}
-
-func equalOutputs(a, b []int64) error {
-	if len(a) != len(b) {
-		return fmt.Errorf("out() stream lengths %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return fmt.Errorf("out()[%d] = %d vs %d", i, a[i], b[i])
+	for _, b := range c.Builds {
+		if b.Diff != nil {
+			return fmt.Errorf("cross-binary: %s: %w", b.Name, b.Diff)
 		}
 	}
 	return nil

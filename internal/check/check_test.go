@@ -267,19 +267,27 @@ func TestClusteringRejectsViolations(t *testing.T) {
 	}
 }
 
-// TestCrossBinaryCatchesWrongTrace pairs the reference binary with a
-// source whose builds behave differently, proving the differential
-// comparison actually discriminates rather than vacuously passing.
+// TestCrossBinaryCatchesWrongTrace pairs the reference binary with
+// sources whose builds behave differently, proving the differential
+// comparison actually discriminates rather than vacuously passing: one
+// computes different output (an extra out call), the other the same
+// output with an extra unmarked call whose loop markers fire more.
 func TestCrossBinaryCatchesWrongTrace(t *testing.T) {
 	prog, set := phasedSetup(t)
-	// Same binary, but a source whose optimized build computes different
-	// output (an extra out call) — the oracle must flag the divergence.
-	divergent := strings.Replace(phasedSrc, "out(s);", "out(s); out(r);", 1)
-	if divergent == phasedSrc {
-		t.Fatal("replacement failed")
-	}
-	err := CrossBinary(divergent, prog, set, phasedArgs...)
-	if err == nil {
-		t.Fatal("oracle accepted binaries from a different source")
+	for _, tc := range []struct{ old, new, want string }{
+		{"out(s);", "out(s); out(r);", "cross-binary: optimized: out() stream differs"},
+		{"s = s + stretch(n);", "s = s + stretch(n); var z = stretch(n);", "cross-binary: optimized: marker trace diverges from -O0 at firing"},
+	} {
+		divergent := strings.Replace(phasedSrc, tc.old, tc.new, 1)
+		if divergent == phasedSrc {
+			t.Fatal("replacement failed")
+		}
+		err := CrossBinary(divergent, prog, set, phasedArgs...)
+		if err == nil {
+			t.Fatalf("oracle accepted binaries from a source with %q", tc.new)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("got %v, want mention of %q", err, tc.want)
+		}
 	}
 }

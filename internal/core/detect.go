@@ -93,23 +93,24 @@ type Firing struct {
 }
 
 // DetectFirings runs prog under a walker-based detector for set and
-// returns every firing in execution order plus the finished machine (for
-// output and instruction-count inspection). It is the analysis-side
-// reference the correctness harness compares instrumented binaries
-// against.
-func DetectFirings(prog *minivm.Program, set *MarkerSet, args ...int64) ([]Firing, *minivm.Machine, error) {
+// returns every firing in execution order, the finished machine (for
+// output and instruction-count inspection) and the entry procedure's
+// return value. It is the analysis-side reference the correctness
+// harness compares instrumented binaries and other compilations against.
+func DetectFirings(prog *minivm.Program, set *MarkerSet, args ...int64) ([]Firing, *minivm.Machine, int64, error) {
 	if err := prog.Check(); err != nil {
-		return nil, nil, fmt.Errorf("core: detect firings: %w", err)
+		return nil, nil, 0, fmt.Errorf("core: detect firings: %w", err)
 	}
 	var seq []Firing
 	det := NewDetector(prog, nil, set, func(marker int, at uint64) {
 		seq = append(seq, Firing{Marker: marker, At: at})
 	})
 	m := minivm.NewMachine(prog, det)
-	if _, err := m.Run(args...); err != nil {
-		return nil, nil, fmt.Errorf("core: detect firings: %w", err)
+	rv, err := m.Run(args...)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: detect firings: %w", err)
 	}
-	return seq, m, nil
+	return seq, m, rv, nil
 }
 
 // InstrumentedFirings physically instruments prog with set (Instrument),

@@ -20,25 +20,11 @@ var (
 	obsMinCostKept     = obs.NewCounter("core.minimize.cost_kept")
 )
 
-// MinimizeOptions configures the placement-optimization pass.
-type MinimizeOptions struct {
-	// IUpper is the longest uncut stretch a pruning step may provably
-	// introduce, in instructions. Zero resolves to the selection's MaxLimit
-	// (§5.2 iupper); when the set was selected without a limit it falls
-	// back to ILower × CovScale — the point where the selection's CoV
-	// threshold saturates, i.e. the scale the selection itself considers
-	// "far above ILower".
-	IUpper uint64
-	// NoCover disables the greedy expected-coverage fallback, leaving only
-	// the exact dominance and co-firing pruning passes.
-	NoCover bool
-}
-
 // MinimizeReport summarizes one MinimizeMarkers run. Cost is the per-site
-// runtime cost model: the sum of profile traversal counts over a set's
-// marker sites — every traversal of a marked edge is one detector site
-// lookup (or one executed mark instruction in the instrumented binary),
-// whether or not it fires.
+// runtime cost model (SiteCost): the sum of profile traversal counts over
+// a set's marker sites — every traversal of a marked edge is one detector
+// site lookup (or one executed mark instruction in the instrumented
+// binary), whether or not it fires.
 type MinimizeReport struct {
 	Full            int // markers in the input set
 	Kept            int // markers surviving all passes
@@ -50,25 +36,29 @@ type MinimizeReport struct {
 	EffUpper        uint64 // resolved stretch bound
 }
 
-// effUpper resolves the stretch bound for a set per MinimizeOptions.IUpper.
-func (o MinimizeOptions) effUpper(set *MarkerSet) uint64 {
-	if o.IUpper > 0 {
-		return o.IUpper
-	}
+// effUpper is the longest uncut stretch a pruning step may provably
+// introduce, in instructions: the selection's MaxLimit (§5.2 iupper), or
+// for a set selected without a limit ILower × CovScale — the point where
+// the selection's CoV threshold saturates, i.e. the scale the selection
+// itself considers "far above ILower".
+func effUpper(set *MarkerSet) uint64 {
 	if set.Opts.MaxLimit > 0 {
 		return set.Opts.MaxLimit
 	}
 	return uint64(float64(set.Opts.ILower) * set.Opts.covScale())
 }
 
-// markerCost is the per-site cost model shared with the report: profile
-// traversal count of the marker's edge (zero when the edge is no longer in
-// the graph).
-func markerCost(g *Graph, m *Marker) uint64 {
-	if e := g.EdgeByKey(m.Key); e != nil {
-		return e.Count()
+// SiteCost prices a marker set on a profiled graph: the sum of the
+// profile traversal counts of its marker edges (an edge no longer in the
+// graph costs nothing).
+func SiteCost(g *Graph, set *MarkerSet) uint64 {
+	var c uint64
+	for _, m := range set.Markers {
+		if e := g.EdgeByKey(m.Key); e != nil {
+			c += e.Count()
+		}
 	}
-	return 0
+	return c
 }
 
 // Prune reasons recorded per marker while the passes run.
@@ -96,28 +86,25 @@ const (
 //     edges back to back at the entry instruction), so when the body
 //     marker is kept with GroupN == 1 the entry marker's cuts are
 //     duplicates and it is dropped regardless of bounds.
-//  3. Greedy cover (fallback, disable with NoCover): where dominance could
-//     not prove redundancy because the dominating marker itself exceeds
-//     the bound, the dominator is dropped anyway when its kept marker
-//     descendants blanket its span in expectation — Σ fires ×
-//     min(GroupN·avg, effUpper) over the descendants covers the
-//     dominator's total profiled mass. Candidates drop
-//     most-expensive-first, re-validating after every drop.
+//  3. Greedy cover (fallback): where dominance could not prove
+//     redundancy because the dominating marker itself exceeds the bound,
+//     the dominator is dropped anyway when its kept marker descendants
+//     blanket its span in expectation — Σ fires × min(GroupN·avg,
+//     effUpper) over the descendants covers the dominator's total
+//     profiled mass. Candidates drop most-expensive-first, re-validating
+//     after every drop.
 //
 // Kept markers fire identically with or without their pruned peers
 // (detection is per-site), so the minimized cut sequence is exactly the
 // full sequence restricted to the kept markers — the property
 // check.Placement pins. The result preserves marker order, thresholds, and
 // Opts; the input set is not modified.
-func MinimizeMarkers(g *Graph, set *MarkerSet, opts MinimizeOptions) (*MarkerSet, MinimizeReport) {
+func MinimizeMarkers(g *Graph, set *MarkerSet) (*MarkerSet, MinimizeReport) {
 	sp := obs.StartSpan("core.minimize_markers", "")
 	defer sp.End()
 	obsMinRuns.Inc()
 
-	rep := MinimizeReport{Full: len(set.Markers), EffUpper: opts.effUpper(set)}
-	for i := range set.Markers {
-		rep.FullCost += markerCost(g, &set.Markers[i])
-	}
+	rep := MinimizeReport{Full: len(set.Markers), EffUpper: effUpper(set), FullCost: SiteCost(g, set)}
 	out := &MarkerSet{Opts: set.Opts, CovBase: set.CovBase, CovSlack: set.CovSlack}
 	if len(set.Markers) == 0 {
 		return out, rep
@@ -195,15 +182,12 @@ func MinimizeMarkers(g *Graph, set *MarkerSet, opts MinimizeOptions) (*MarkerSet
 	// dropped when its kept marker descendants cover its profiled mass in
 	// expectation. Most expensive first; every drop re-validates the
 	// remaining candidates, and the last marker is never dropped.
-	if !opts.NoCover {
-		minimizeCover(g, set, dom, verts, pruned, markerAt, fits, rep.EffUpper)
-	}
+	minimizeCover(g, set, dom, verts, pruned, markerAt, fits, rep.EffUpper)
 
 	for i, m := range set.Markers {
 		switch pruned[i] {
 		case keptMarker:
 			out.Markers = append(out.Markers, m)
-			rep.KeptCost += markerCost(g, &set.Markers[i])
 		case prunedDominated:
 			rep.PrunedDominated++
 		case prunedCoFire:
@@ -213,6 +197,7 @@ func MinimizeMarkers(g *Graph, set *MarkerSet, opts MinimizeOptions) (*MarkerSet
 		}
 	}
 	rep.Kept = len(out.Markers)
+	rep.KeptCost = SiteCost(g, out)
 	obsMinKept.Add(uint64(rep.Kept))
 	obsMinPrunedDom.Add(uint64(rep.PrunedDominated))
 	obsMinPrunedCoFire.Add(uint64(rep.PrunedCoFire))

@@ -39,11 +39,11 @@ func markerFor(set *MarkerSet, kind NodeKind) int {
 // to the kept markers (same instants, same markers, remapped indices).
 func assertRestriction(t *testing.T, g *Graph, full, min *MarkerSet, args ...int64) ([]Firing, []Firing) {
 	t.Helper()
-	fullSeq, mf, err := DetectFirings(g.Prog, full, args...)
+	fullSeq, mf, _, err := DetectFirings(g.Prog, full, args...)
 	if err != nil {
 		t.Fatalf("detect full: %v", err)
 	}
-	minSeq, mm, err := DetectFirings(g.Prog, min, args...)
+	minSeq, mm, _, err := DetectFirings(g.Prog, min, args...)
 	if err != nil {
 		t.Fatalf("detect min: %v", err)
 	}
@@ -103,26 +103,28 @@ func TestMinimizeDominancePrunes(t *testing.T) {
 	if len(set.Markers) < 2 {
 		t.Fatalf("want >=2 markers to make pruning interesting, got %d", len(set.Markers))
 	}
-	min, rep := MinimizeMarkers(g, set, MinimizeOptions{NoCover: true})
+	min, rep := MinimizeMarkers(g, set)
 	if rep.Full != len(set.Markers) || rep.Kept != len(min.Markers) {
 		t.Fatalf("report counts inconsistent: %+v vs %d/%d", rep, len(set.Markers), len(min.Markers))
 	}
 	if rep.Kept+rep.PrunedDominated+rep.PrunedCoFire+rep.PrunedCover != rep.Full {
 		t.Fatalf("report does not partition the set: %+v", rep)
 	}
-	if len(min.Markers) >= len(set.Markers) {
-		t.Fatalf("expected pruning on a dominated graph: full=%d min=%d", len(set.Markers), len(min.Markers))
+	// On this graph the exact dominance pass does all the pruning; the
+	// greedy cover fallback has nothing left to drop.
+	if rep.PrunedDominated == 0 || rep.PrunedCover != 0 {
+		t.Fatalf("expected dominance pruning alone on a dominated graph: %+v", rep)
 	}
 	if len(min.Markers) == 0 {
 		t.Fatal("minimization emptied the set")
 	}
-	if rep.KeptCost > rep.FullCost {
-		t.Fatalf("kept cost %d exceeds full cost %d", rep.KeptCost, rep.FullCost)
+	if rep.KeptCost > rep.FullCost || rep.FullCost != SiteCost(g, set) || rep.KeptCost != SiteCost(g, min) {
+		t.Fatalf("report costs %d -> %d, SiteCost %d -> %d", rep.FullCost, rep.KeptCost, SiteCost(g, set), SiteCost(g, min))
 	}
 	fullSeq, minSeq := assertRestriction(t, g, set, min, 40, 200)
 	// Exact-pass-only pruning on the profiled input must respect the
 	// stretch bound: one dominator gap plus one full-set interval.
-	_, m, err := DetectFirings(g.Prog, set, 40, 200)
+	_, m, _, err := DetectFirings(g.Prog, set, 40, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +178,8 @@ func markerIntoProc(g *Graph, set *MarkerSet, name string) int {
 // TestMinimizeKeepsSoleRegionMarker is the regression guard against
 // over-eager dominance pruning: the chunk call-edge marker is the only
 // marker firing inside each work() activation, and its dominating
-// call-edge marker does NOT satisfy the stretch bound (IUpper is set below
-// the activation size). Pruning the chunk marker anyway — e.g. by skipping
+// call-edge marker does NOT satisfy the stretch bound (the set's MaxLimit
+// is set below the activation size). Pruning the chunk marker anyway — e.g. by skipping
 // the dominator's bound check — leaves every activation's interior uncut
 // and fails both assertions here.
 func TestMinimizeKeepsSoleRegionMarker(t *testing.T) {
@@ -201,7 +203,11 @@ func TestMinimizeKeepsSoleRegionMarker(t *testing.T) {
 	if float64(iupper) <= innerMax*float64(set.Markers[inner].GroupN) {
 		t.Fatalf("test geometry broken: iupper=%d innerMax=%.0f", iupper, innerMax)
 	}
-	min, rep := MinimizeMarkers(g, pair, MinimizeOptions{IUpper: iupper})
+	pair.Opts.MaxLimit = iupper
+	min, rep := MinimizeMarkers(g, pair)
+	if rep.EffUpper != iupper {
+		t.Fatalf("stretch bound %d, want the set's MaxLimit %d", rep.EffUpper, iupper)
+	}
 	kept := min.ByKey()
 	if _, ok := kept[set.Markers[inner].Key]; !ok {
 		t.Fatalf("sole region marker %s was pruned (report %+v)", set.Markers[inner].Key, rep)
@@ -209,7 +215,7 @@ func TestMinimizeKeepsSoleRegionMarker(t *testing.T) {
 	// The kept set must still cut the interior of each activation within
 	// the bound (plus one full-set interval of slack).
 	fullSeq, minSeq := assertRestriction(t, g, pair, min, args...)
-	_, m, err := DetectFirings(g.Prog, pair, args...)
+	_, m, _, err := DetectFirings(g.Prog, pair, args...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +252,7 @@ func TestMinimizeCoFirePrunesEntryEdges(t *testing.T) {
 	pair.Markers = append(pair.Markers,
 		set.Markers[callEdge],
 		Marker{Key: hb.Key, GroupN: 1, AvgLen: hb.Avg(), CoV: hb.CoV(), Count: hb.Count()})
-	min, rep := MinimizeMarkers(g, pair, MinimizeOptions{})
+	min, rep := MinimizeMarkers(g, pair)
 	if rep.PrunedCoFire+rep.PrunedDominated == 0 {
 		t.Fatalf("expected the entry marker pruned, report %+v", rep)
 	}
@@ -255,11 +261,11 @@ func TestMinimizeCoFirePrunesEntryEdges(t *testing.T) {
 	}
 	// The cut instants must be identical: entry and head→body open
 	// back-to-back at the same instruction count.
-	fullSeq, _, err := DetectFirings(g.Prog, pair, 40, 200)
+	fullSeq, _, _, err := DetectFirings(g.Prog, pair, 40, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	minSeq, _, err := DetectFirings(g.Prog, min, 40, 200)
+	minSeq, _, _, err := DetectFirings(g.Prog, min, 40, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +292,7 @@ func TestMinimizeCoFirePrunesEntryEdges(t *testing.T) {
 func TestMinimizeEmptyAndUnmodifiedInput(t *testing.T) {
 	g := mustProfile(t, mustCompile(t, callLoopProgram, false), 4, 50)
 	empty := &MarkerSet{Opts: SelectOptions{ILower: 1000}}
-	min, rep := MinimizeMarkers(g, empty, MinimizeOptions{})
+	min, rep := MinimizeMarkers(g, empty)
 	if len(min.Markers) != 0 || rep.Full != 0 || rep.Kept != 0 {
 		t.Fatalf("empty set mishandled: %v %+v", min.Markers, rep)
 	}
@@ -300,7 +306,7 @@ func TestMinimizeEmptyAndUnmodifiedInput(t *testing.T) {
 	for i, m := range set.Markers {
 		keys[i] = m.Key
 	}
-	MinimizeMarkers(g, set, MinimizeOptions{})
+	MinimizeMarkers(g, set)
 	if len(set.Markers) != before {
 		t.Fatalf("input set modified: %d -> %d markers", before, len(set.Markers))
 	}

@@ -107,9 +107,9 @@ func ProfileRun(prog *minivm.Program, args ...int64) (*Graph, error) {
 }
 
 // ProfileRunWorkers is ProfileRun on at most workers goroutines, counted
-// as trace.Config.Workers counts them: 0 means runtime.GOMAXPROCS(0), 1
-// the profiler observing the machine directly, and 2 or more the
-// record/replay split, minivm.RunSplit: the interpreter on a producer
+// as trace.Config.Workers counts them (minivm.RunWorkers): 0 means
+// runtime.GOMAXPROCS(0), 1 the profiler observing the machine directly,
+// and 2 or more the record/replay split: the interpreter on a producer
 // goroutine, the profiler on the caller's, which replays the serial
 // machine's events in order and so builds the same graph bit for bit.
 // The split spends more CPU than the serial machine and gains only with
@@ -128,13 +128,7 @@ func ProfileRunWorkers(prog *minivm.Program, workers int, args ...int64) (*Graph
 	sp := obs.StartSpan("core.profile_run", "")
 	defer sp.End()
 	p := NewProfiler(prog)
-	var err error
-	if workers >= 2 {
-		_, err = minivm.RunSplit(prog, p, nil, args...)
-	} else {
-		_, err = minivm.NewMachine(prog, p).Run(args...)
-	}
-	if err != nil {
+	if _, err := minivm.RunWorkers(prog, p, workers, nil, args...); err != nil {
 		return nil, fmt.Errorf("core: profiling run failed: %w", err)
 	}
 	if err := p.Finish(); err != nil {

@@ -82,7 +82,7 @@ func TestProfileRejectsInvalidProgram(t *testing.T) {
 			t.Errorf("ProfileRunWorkers %d: err = %v, want ErrInvalidProgram", workers, err)
 		}
 	}
-	if _, _, err := DetectFirings(&bad, &MarkerSet{}, w.Train...); !errors.Is(err, minivm.ErrInvalidProgram) {
+	if _, _, _, err := DetectFirings(&bad, &MarkerSet{}, w.Train...); !errors.Is(err, minivm.ErrInvalidProgram) {
 		t.Errorf("DetectFirings: err = %v, want ErrInvalidProgram", err)
 	}
 }

@@ -251,7 +251,7 @@ func SelectMarkers(g *Graph, opts SelectOptions) *MarkerSet {
 		}
 	}
 	if opts.Minimize {
-		set, _ = MinimizeMarkers(g, set, MinimizeOptions{})
+		set, _ = MinimizeMarkers(g, set)
 	}
 	return set
 }

@@ -9,12 +9,15 @@
 // position. A marker trace (the sequence of marker firings on one input)
 // can then be compared across binaries; identical traces mean simulation
 // points chosen on one binary identify the same execution regions in the
-// other.
+// other. Compare is that comparison, the one both the §6.2.1 table and
+// its invariant in the correctness harness report.
 package crossbin
 
 import (
 	"fmt"
+	"slices"
 
+	"phasemark/internal/compile"
 	"phasemark/internal/core"
 	"phasemark/internal/minivm"
 )
@@ -74,7 +77,7 @@ type Report struct {
 // MapMarkers rebinds markers selected on binary `from` to binary `to`
 // (two compilations of the same source). Unmappable markers are dropped
 // and reported.
-func MapMarkers(set *core.MarkerSet, from, to *minivm.Program) (*core.MarkerSet, *Report, error) {
+func MapMarkers(set *core.MarkerSet, from, to *minivm.Program) (*core.MarkerSet, *Report) {
 	fi, ti := index(from), index(to)
 	out := &core.MarkerSet{Opts: set.Opts, CovBase: set.CovBase, CovSlack: set.CovSlack}
 	rep := &Report{}
@@ -89,7 +92,7 @@ func MapMarkers(set *core.MarkerSet, from, to *minivm.Program) (*core.MarkerSet,
 		out.Markers = append(out.Markers, nm)
 		rep.Mapped++
 	}
-	return out, rep, nil
+	return out, rep
 }
 
 func mapNode(k core.NodeKey, fi, ti *binIndex) (core.NodeKey, bool) {
@@ -157,27 +160,29 @@ func mapKey(k core.EdgeKey, fi, ti *binIndex) (core.EdgeKey, bool) {
 // input and equivalent marker sets must produce identical traces — the
 // §6.2.1 validation.
 func Trace(prog *minivm.Program, set *core.MarkerSet, args ...int64) ([]int, error) {
-	seq, _, _, err := TraceOutput(prog, set, args...)
-	return seq, err
+	r, err := detect(prog, set, args)
+	return r.seq, err
 }
 
-// TraceOutput is Trace plus the program's observable behavior: the out()
-// stream and the entry procedure's return value. The differential backend
-// oracle needs both halves — compilations must agree on what the program
-// computes and on when its markers fire.
-func TraceOutput(prog *minivm.Program, set *core.MarkerSet, args ...int64) (seq []int, out []int64, rv int64, err error) {
-	if err := prog.Check(); err != nil {
-		return nil, nil, 0, fmt.Errorf("crossbin: trace run: %w", err)
-	}
-	det := core.NewDetector(prog, nil, set, func(marker int, at uint64) {
-		seq = append(seq, marker)
-	})
-	m := minivm.NewMachine(prog, det)
-	rv, err = m.Run(args...)
+// run is what one detection run shows of a binary: the marker indexes
+// fired, in order, and the program's observable behavior — its out()
+// stream and the entry procedure's return value.
+type run struct {
+	seq []int
+	out []int64
+	rv  int64
+}
+
+func detect(prog *minivm.Program, set *core.MarkerSet, args []int64) (run, error) {
+	fires, m, rv, err := core.DetectFirings(prog, set, args...)
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("crossbin: trace run: %w", err)
+		return run{}, err
 	}
-	return seq, m.Output(), rv, nil
+	seq := make([]int, len(fires))
+	for i, f := range fires {
+		seq[i] = f.Marker
+	}
+	return run{seq: seq, out: m.Output(), rv: rv}, nil
 }
 
 // Restrict returns a copy of set without the markers named in drop —
@@ -198,15 +203,90 @@ func Restrict(set *core.MarkerSet, drop []core.EdgeKey) *core.MarkerSet {
 	return out
 }
 
-// TracesEqual compares two marker traces.
-func TracesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// builds are the compilations the §6.2.1 comparison carries a -O0 marker
+// set into: the optimizing register build and the stack-machine ISA.
+var builds = []struct {
+	name string
+	opts compile.Options
+}{{"optimized", compile.Options{Optimize: true}}, {"stack", compile.Options{Stack: true}}}
+
+// Build is one compilation's side of a Comparison.
+type Build struct {
+	Name   string // "optimized" or "stack"
+	Mapped int    // markers of the -O0 set with an anchor in this build
+	// Diff is nil when the build agrees with -O0 — same out() stream,
+	// same return value, same firing sequence — and says where it first
+	// departs otherwise.
+	Diff error
+}
+
+// Comparison is the §6.2.1 result for one source and input.
+type Comparison struct {
+	Markers int     // markers in the -O0 set
+	Fires   int     // firings of the whole set on the -O0 binary
+	Builds  []Build // optimized, then stack
+}
+
+// Compare is the §6.2.1 comparison: it compiles src's optimized and stack
+// builds, maps set — selected on prog, src's -O0 build — into each, and
+// runs all three binaries on args under core.DetectFirings. Where a build
+// compiled markers away, its firings are compared with the -O0 run of the
+// surviving markers (Restrict). An error means a build could not be
+// compiled or run; a build that runs but disagrees has a Diff.
+func Compare(src string, prog *minivm.Program, set *core.MarkerSet, args ...int64) (*Comparison, error) {
+	ref, err := detect(prog, set, args)
+	if err != nil {
+		return nil, fmt.Errorf("crossbin: -O0: %w", err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	c := &Comparison{Markers: len(set.Markers), Fires: len(ref.seq)}
+	for _, b := range builds {
+		bin, err := compile.CompileSource(src, b.opts)
+		if err != nil {
+			return nil, fmt.Errorf("crossbin: %s: %w", b.name, err)
 		}
+		build, err := compareBuild(prog, bin, set, ref, args)
+		if err != nil {
+			return nil, fmt.Errorf("crossbin: %s: %w", b.name, err)
+		}
+		build.Name = b.name
+		c.Builds = append(c.Builds, build)
 	}
-	return true
+	return c, nil
+}
+
+// compareBuild maps set from prog into bin and compares bin's run on args
+// with ref, prog's run of the whole set.
+func compareBuild(prog, bin *minivm.Program, set *core.MarkerSet, ref run, args []int64) (Build, error) {
+	mapped, rep := MapMarkers(set, prog, bin)
+	want := ref.seq
+	if len(rep.Unmapped) > 0 {
+		r, err := detect(prog, Restrict(set, rep.Unmapped), args)
+		if err != nil {
+			return Build{}, fmt.Errorf("-O0 restricted: %w", err)
+		}
+		want = r.seq
+	}
+	got, err := detect(bin, mapped, args)
+	if err != nil {
+		return Build{}, err
+	}
+	return Build{Mapped: rep.Mapped, Diff: diff(ref, want, got)}, nil
+}
+
+// diff compares a build's run with the -O0 run ref, whose firing sequence
+// over the markers the build carries is want.
+func diff(ref run, want []int, got run) error {
+	switch {
+	case got.rv != ref.rv:
+		return fmt.Errorf("returned %d, -O0 returned %d", got.rv, ref.rv)
+	case !slices.Equal(got.out, ref.out):
+		return fmt.Errorf("out() stream differs from -O0 (%d vs %d values)", len(got.out), len(ref.out))
+	case !slices.Equal(got.seq, want):
+		i := 0
+		for i < len(want) && i < len(got.seq) && want[i] == got.seq[i] {
+			i++
+		}
+		return fmt.Errorf("marker trace diverges from -O0 at firing %d (of %d vs %d)", i, len(want), len(got.seq))
+	}
+	return nil
 }

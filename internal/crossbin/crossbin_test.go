@@ -1,7 +1,7 @@
 package crossbin
 
 import (
-	"errors"
+	"slices"
 	"testing"
 
 	"phasemark/internal/compile"
@@ -73,10 +73,7 @@ func markers(t *testing.T, p *minivmProgram) *core.MarkerSet {
 func TestMapMarkersFullyMaps(t *testing.T) {
 	plain, opt := compileBoth(t)
 	set := markers(t, plain)
-	mapped, rep, err := MapMarkers(set, plain.Program, opt.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped, rep := MapMarkers(set, plain.Program, opt.Program)
 	if len(rep.Unmapped) != 0 {
 		t.Fatalf("unmapped markers: %v", rep.Unmapped)
 	}
@@ -94,10 +91,7 @@ func TestMapMarkersFullyMaps(t *testing.T) {
 func TestTracesIdenticalAcrossCompilations(t *testing.T) {
 	plain, opt := compileBoth(t)
 	set := markers(t, plain)
-	mapped, rep, err := MapMarkers(set, plain.Program, opt.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped, rep := MapMarkers(set, plain.Program, opt.Program)
 	if len(rep.Unmapped) != 0 {
 		t.Fatalf("unmapped: %v", rep.Unmapped)
 	}
@@ -114,32 +108,17 @@ func TestTracesIdenticalAcrossCompilations(t *testing.T) {
 		if len(t0) == 0 {
 			t.Fatal("no firings")
 		}
-		if !TracesEqual(t0, t1) {
+		if !slices.Equal(t0, t1) {
 			t.Fatalf("traces differ on args %v:\n%v\n%v", args, t0, t1)
 		}
-	}
-}
-
-func TestTracesEqual(t *testing.T) {
-	if !TracesEqual(nil, nil) || !TracesEqual([]int{1, 2}, []int{1, 2}) {
-		t.Error("equal traces reported unequal")
-	}
-	if TracesEqual([]int{1}, []int{1, 2}) || TracesEqual([]int{1, 2}, []int{2, 1}) {
-		t.Error("unequal traces reported equal")
 	}
 }
 
 func TestMapMarkersRoundTrip(t *testing.T) {
 	plain, opt := compileBoth(t)
 	set := markers(t, plain)
-	there, _, err := MapMarkers(set, plain.Program, opt.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, rep, err := MapMarkers(there, opt.Program, plain.Program)
-	if err != nil {
-		t.Fatal(err)
-	}
+	there, _ := MapMarkers(set, plain.Program, opt.Program)
+	back, rep := MapMarkers(there, opt.Program, plain.Program)
 	if len(rep.Unmapped) != 0 {
 		t.Fatalf("round trip lost markers: %v", rep.Unmapped)
 	}
@@ -225,10 +204,7 @@ func TestMarkersCompiledAwayByInlining(t *testing.T) {
 	if !hasTinyMarker {
 		t.Skip("selection did not mark the tiny call edge; nothing to compile away")
 	}
-	mapped, rep, err := MapMarkers(set, plain, inlined)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped, rep := MapMarkers(set, plain, inlined)
 	if len(rep.Unmapped) == 0 {
 		t.Fatal("inlined-away markers must be reported unmapped")
 	}
@@ -245,8 +221,25 @@ func TestMarkersCompiledAwayByInlining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(t0) == 0 || !TracesEqual(t0, t1) {
+	if len(t0) == 0 || !slices.Equal(t0, t1) {
 		t.Fatalf("surviving markers diverge: %d vs %d firings", len(t0), len(t1))
+	}
+	// Compare's per-build comparison takes the same restricted path and
+	// agrees; against the whole set's firings the inlined build diverges.
+	args := []int64{6, 8000}
+	ref, err := detect(plain, set, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := compareBuild(plain, inlined, set, ref, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Mapped != len(mapped.Markers) || b.Diff != nil {
+		t.Fatalf("compareBuild on the inlined build: mapped %d, diff %v; want %d, nil", b.Mapped, b.Diff, len(mapped.Markers))
+	}
+	if slices.Equal(ref.seq, t1) {
+		t.Fatal("the inlined build's firings match the whole -O0 set's; the restricted path is untested")
 	}
 }
 
@@ -270,10 +263,7 @@ func TestCrossISARegisterToStackMachine(t *testing.T) {
 	}
 
 	set := markers(t, &minivmProgram{regBin})
-	mapped, rep, err := MapMarkers(set, regBin, stackBin)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mapped, rep := MapMarkers(set, regBin, stackBin)
 	if len(rep.Unmapped) != 0 {
 		t.Fatalf("unmapped markers across ISAs: %v", rep.Unmapped)
 	}
@@ -286,19 +276,8 @@ func TestCrossISARegisterToStackMachine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(t0) == 0 || !TracesEqual(t0, t1) {
+		if len(t0) == 0 || !slices.Equal(t0, t1) {
 			t.Fatalf("cross-ISA traces differ on %v: %d vs %d firings", args, len(t0), len(t1))
 		}
-	}
-}
-
-// An invalid program is an error wrapping minivm.ErrInvalidProgram, never
-// a panic while the detector is sized from NumBlocks.
-func TestTraceOutputRejectsInvalidProgram(t *testing.T) {
-	plain, _ := compileBoth(t)
-	bad := *plain.Program
-	bad.NumBlocks = -1
-	if _, _, _, err := TraceOutput(&bad, &core.MarkerSet{}, 6, 30_000); !errors.Is(err, minivm.ErrInvalidProgram) {
-		t.Fatalf("err = %v, want ErrInvalidProgram", err)
 	}
 }

@@ -95,7 +95,7 @@ func TestTimeVaryingMatchesTrace(t *testing.T) {
 	if len(pts) != len(res.Intervals) {
 		t.Fatalf("%d points, trace.Run cut %d intervals", len(pts), len(res.Intervals))
 	}
-	fires, _, err := core.DetectFirings(prog, set, w.Train...)
+	fires, _, _, err := core.DetectFirings(prog, set, w.Train...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"phasemark/internal/compile"
 	"phasemark/internal/core"
 	"phasemark/internal/crossbin"
-	"phasemark/internal/lang"
 	"phasemark/internal/minivm"
 	"phasemark/internal/trace"
 	"phasemark/internal/uarch"
@@ -38,7 +37,7 @@ func timeVarying(prog *minivm.Program, args []int64, set *core.MarkerSet, slice 
 	if err != nil {
 		return nil, err
 	}
-	fires, _, err := core.DetectFirings(prog, set, args...)
+	fires, _, _, err := core.DetectFirings(prog, set, args...)
 	if err != nil {
 		return nil, err
 	}
@@ -121,18 +120,11 @@ func (s *Suite) Fig4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := lang.Parse(w.Source)
+	stackBin, err := compile.CompileSource(w.Source, compile.Options{Stack: true})
 	if err != nil {
 		return nil, err
 	}
-	stackBin, err := compile.Compile(f, compile.Options{Stack: true})
-	if err != nil {
-		return nil, err
-	}
-	mapped, rep, err := crossbin.MapMarkers(set, d.prog, stackBin)
-	if err != nil {
-		return nil, err
-	}
+	mapped, rep := crossbin.MapMarkers(set, d.prog, stackBin)
 	pts, err := timeVarying(stackBin, w.Ref, mapped, 60_000, d.workers)
 	if err != nil {
 		return nil, err

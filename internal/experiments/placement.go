@@ -72,19 +72,6 @@ func ivlStats(ivs []*trace.Interval) (avg float64, max uint64) {
 	return float64(sum) / float64(len(ivs)), max
 }
 
-// siteCost prices a marker set on a profiled graph: the sum of traversal
-// counts over the marker edges — each traversal is one detector site hit
-// (see core.MinimizeReport).
-func siteCost(g *core.Graph, set *core.MarkerSet) uint64 {
-	var c uint64
-	for _, m := range set.Markers {
-		if e := g.EdgeByKey(m.Key); e != nil {
-			c += e.Count()
-		}
-	}
-	return c
-}
-
 // Placement reports the minimum-cost marker placement against the full
 // selection for every workload: marker-set size, detector site cost on the
 // selection profile, and the ref-run interval-length distribution, before
@@ -130,8 +117,8 @@ func (s *Suite) Placement() (*Table, error) {
 			ev := placementEval{
 				Full:     len(full.Markers),
 				Kept:     len(min.Markers),
-				CostFull: siteCost(g, full),
-				CostKept: siteCost(g, min),
+				CostFull: core.SiteCost(g, full),
+				CostKept: core.SiteCost(g, min),
 			}
 			ev.AvgFull, ev.MaxFull = ivlStats(resFull.Intervals)
 			ev.AvgKept, ev.MaxKept = ivlStats(resMin.Intervals)

@@ -370,7 +370,7 @@ func newDetectorFireMin() (func() (uint64, error), error) {
 		return nil, err
 	}
 	set := core.SelectMarkers(g, detectorSelect)
-	min, rep := core.MinimizeMarkers(g, set, core.MinimizeOptions{IUpper: detectorSelect.MaxLimit})
+	min, rep := core.MinimizeMarkers(g, set)
 	if rep.Kept >= rep.Full || rep.Kept == 0 {
 		return nil, fmt.Errorf("detector_fire_min: degenerate placement: kept %d of %d markers", rep.Kept, rep.Full)
 	}

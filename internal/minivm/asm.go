@@ -8,7 +8,10 @@ import (
 
 // Textual assembly for minivm programs ("clasm"). Programs round-trip
 // through Print and ParseAsm exactly, so analysis inputs (the "binaries")
-// can be stored on disk, diffed, and reloaded by the CLI tools.
+// can be stored on disk and diffed. The phasemark CLI prints them
+// (-emit-asm, and -instrument for the marked binary); no CLI reads one
+// back, and ParseAsm's callers are the round-trip tests and
+// FuzzParseAsm.
 //
 // Format:
 //

@@ -180,6 +180,21 @@ func blockTable(p *Program) []*Block {
 	return t
 }
 
+// RunWorkers executes prog on args with o observing, on at most workers
+// goroutines: below two on the serial machine, NewMachine(prog, o), and
+// at two or more on RunSplit, which replays the serial machine's events
+// to o in order, so o ends in the same state either way. stop is
+// RunSplit's; the serial machine runs to the end. It returns the
+// machine's instruction count and the run's error.
+func RunWorkers(prog *Program, o Observer, workers int, stop func() bool, args ...int64) (uint64, error) {
+	if workers >= 2 {
+		return RunSplit(prog, o, stop, args...)
+	}
+	m := NewMachine(prog, o)
+	_, err := m.Run(args...)
+	return m.Instructions(), err
+}
+
 // RunSplit executes prog on args as NewMachine(prog, o).Run(args...)
 // does, on two goroutines: a producer goroutine interprets and records
 // exactly the events MaskOf(o) names, and the calling goroutine replays

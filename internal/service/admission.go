@@ -79,9 +79,10 @@ func NewGate(workers, queue int) *Gate {
 // reject if draining, reject if the queue is full, otherwise wait for an
 // execution slot (recording queue wait, as a metric and — when ctx
 // carries a request span — a SpanQueue child span) and run (recording
-// exec time). A request whose ctx ends while it waits leaves the queue
-// without running fn. The returned error is ErrDraining, ErrSaturated,
-// ctx's error, or fn's own error.
+// exec time). A request whose ctx has ended by the time it holds a slot,
+// or ends while it waits for one, leaves without running fn. The
+// returned error is ErrDraining, ErrSaturated, ctx's error, or fn's own
+// error.
 func (g *Gate) Do(ctx context.Context, fn func() error) error {
 	if g.draining.Load() {
 		obsRejectedDrain.Inc()
@@ -99,12 +100,21 @@ func (g *Gate) Do(ctx context.Context, fn func() error) error {
 	obsQueued.Add(1)
 	qsp := obs.SpanFromContext(ctx).Child(SpanQueue, "")
 	enqueued := time.Now()
+	var err error
 	select {
 	case g.slots <- struct{}{}:
+		// When ctx had already ended, select may still have picked the
+		// free slot: such a request leaves without running too.
+		if err = ctx.Err(); err != nil {
+			<-g.slots
+		}
 	case <-ctx.Done():
+		err = ctx.Err()
+	}
+	if err != nil {
 		qsp.End()
 		obsQueued.Add(-1)
-		return ctx.Err()
+		return err
 	}
 	defer func() { <-g.slots }()
 	start := time.Now()

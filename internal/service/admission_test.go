@@ -159,6 +159,35 @@ func TestGateQueuedCancel(t *testing.T) {
 	}
 }
 
+// TestGateCancelledBeforeAdmission checks that a request whose context
+// has already ended never runs, even when an execution slot is free: the
+// slot and ctx.Done() are then both ready, and the gate must not let the
+// choice between them decide. Every call returns the context's error,
+// answered 499, and leaves the slot, the token and service.queued as it
+// found them.
+func TestGateCancelledBeforeAdmission(t *testing.T) {
+	g := NewGate(1, 0)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	queued := obsQueued.Load()
+	ran, wrong := 0, 0
+	for i := 0; i < 1000; i++ {
+		err := g.Do(ctx, func() error { ran++; return nil })
+		if !errors.Is(err, context.Canceled) || status(err) != statusClientClosed {
+			wrong++
+		}
+	}
+	if ran != 0 || wrong != 0 {
+		t.Errorf("of 1000 Do calls whose context had already ended, %d ran their function and %d did not answer context.Canceled (499)", ran, wrong)
+	}
+	if len(g.slots) != 0 || len(g.tokens) != 0 {
+		t.Errorf("%d slots and %d tokens held after every Do returned, want 0", len(g.slots), len(g.tokens))
+	}
+	if n := obsQueued.Load(); n != queued {
+		t.Errorf("service.queued = %d, want %d", n, queued)
+	}
+}
+
 // TestGatePropagatesErrors checks the gate returns fn's own error
 // unchanged for admitted work.
 func TestGatePropagatesErrors(t *testing.T) {

@@ -5,62 +5,6 @@ import (
 	"phasemark/internal/trace"
 )
 
-// StreamProjector projects interval BBVs into Matrix rows online, as the
-// tracer streams chunks, so the sparse BBVs never need to be retained:
-// after a chunk is observed its vectors may be recycled. The resulting
-// matrix and weights are bit-identical to ProjectIntervals over the
-// materialized interval slice (same projection, same per-row kernel).
-//
-// Memory is O(intervals·dims) for the matrix itself — at the usual 15
-// dimensions this is ~3 KB per thousand intervals, the compact residue a
-// bounded-memory pipeline is allowed to keep. For clustering without even
-// that, see StreamKMeans.
-type StreamProjector struct {
-	proj    *stats.Projection
-	pts     Matrix
-	weights []float64
-}
-
-// NewStreamProjector builds a projector matching ProjectIntervals'
-// parameters (numBlocks static blocks down to dims dimensions, seeded
-// deterministically).
-func NewStreamProjector(numBlocks, dims int, seed uint64) *StreamProjector {
-	return &StreamProjector{
-		proj: stats.NewProjection(numBlocks, dims, seed),
-		pts:  Matrix{D: dims},
-	}
-}
-
-// Observe appends one interval's projected row. Nothing in iv is
-// retained.
-func (p *StreamProjector) Observe(iv *trace.Interval) {
-	d := p.pts.D
-	n := len(p.pts.Data)
-	if n+d > cap(p.pts.Data) {
-		grown := make([]float64, n, max(2*cap(p.pts.Data), 64*d))
-		copy(grown, p.pts.Data)
-		p.pts.Data = grown
-	}
-	p.pts.Data = p.pts.Data[: n+d : cap(p.pts.Data)]
-	p.pts.N++
-	iv.BBV.ProjectInto(p.pts.Data[n:n+d], p.proj)
-	p.weights = append(p.weights, float64(iv.Len()))
-}
-
-// ObserveChunk folds a streamed chunk (a trace.Config.Sink payload).
-func (p *StreamProjector) ObserveChunk(chunk []trace.Interval) {
-	for i := range chunk {
-		p.Observe(&chunk[i])
-	}
-}
-
-// Matrix returns the points projected so far and their instruction
-// weights. The returns alias the projector's storage; observing more
-// intervals afterwards may reallocate, so call this when done.
-func (p *StreamProjector) Matrix() (pts Matrix, weights []float64) {
-	return p.pts, p.weights
-}
-
 // StreamResult is the outcome of a bounded-memory streaming clustering.
 type StreamResult struct {
 	K       int
@@ -97,10 +41,11 @@ func (r *StreamResult) Weights() []float64 {
 // Nothing per-interval is retained — steady-state observation is
 // allocation-free.
 //
-// This is the bounded-memory path: unlike StreamProjector + Cluster it is
-// NOT bit-identical to batch clustering (a single pass cannot revisit
-// early assignments), so it backs scale amplification while the exact
-// path remains the default for paper figures.
+// This is the bounded-memory path: unlike ProjectIntervals + Cluster over
+// the materialized intervals it is NOT bit-identical to batch clustering
+// (a single pass cannot revisit early assignments), so it backs scale
+// amplification while the exact path remains the default for paper
+// figures.
 type StreamKMeans struct {
 	opts       Options
 	proj       *stats.Projection

@@ -50,35 +50,6 @@ func chunks(ivs []*trace.Interval, size int) [][]trace.Interval {
 	return out
 }
 
-// The online projector must be bit-identical to the batch projection —
-// same matrix data, same weights — regardless of chunking.
-func TestStreamProjectorMatchesBatch(t *testing.T) {
-	const numBlocks, dims = 64, 15
-	ivs := synthIntervals(333, numBlocks, 7)
-	want, wantW := ProjectIntervals(ivs, numBlocks, dims, 0xC1)
-
-	for _, size := range []int{1, 7, 256} {
-		p := NewStreamProjector(numBlocks, dims, 0xC1)
-		for _, c := range chunks(ivs, size) {
-			p.ObserveChunk(c)
-		}
-		got, gotW := p.Matrix()
-		if got.N != want.N || got.D != want.D {
-			t.Fatalf("chunk=%d: shape %dx%d, want %dx%d", size, got.N, got.D, want.N, want.D)
-		}
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("chunk=%d: matrix differs at %d: %v vs %v", size, i, got.Data[i], want.Data[i])
-			}
-		}
-		for i := range wantW {
-			if gotW[i] != wantW[i] {
-				t.Fatalf("chunk=%d: weight %d differs", size, i)
-			}
-		}
-	}
-}
-
 // A stream that ends inside the seeding buffer must degrade to exactly
 // the batch engine's answer on those points.
 func TestStreamKMeansShortStreamMatchesBatch(t *testing.T) {

@@ -313,23 +313,15 @@ func (s *analysisStack) fired() uint64 {
 	return s.det.TotalFired()
 }
 
-// run drives one execution of cfg's program through the stack: on the
-// serial machine at one worker, and at two or more on minivm.RunSplit,
-// whose replay stops once a sink error poisons the collector. It then
-// closes the final interval and flushes the last chunk. Errors take one
-// precedence: a failed execution, then a sink error (the poisoned
-// collector only kept the doomed remainder from growing memory), then
-// replay drift.
+// run drives one execution of cfg's program through the stack on
+// minivm.RunWorkers: the serial machine at one worker, and at two or more
+// the split, whose replay stops once a sink error poisons the collector.
+// It then closes the final interval and flushes the last chunk. Errors
+// take one precedence: a failed execution, then a sink error (the
+// poisoned collector only kept the doomed remainder from growing memory),
+// then replay drift.
 func (s *analysisStack) run(cfg Config, workers int) (runTotals, error) {
-	var instrs uint64
-	var err error
-	if workers >= 2 {
-		instrs, err = minivm.RunSplit(cfg.Prog, s, func() bool { return s.col.err != nil }, cfg.Args...)
-	} else {
-		m := minivm.NewMachine(cfg.Prog, s)
-		_, err = m.Run(cfg.Args...)
-		instrs = m.Instructions()
-	}
+	instrs, err := minivm.RunWorkers(cfg.Prog, s, workers, func() bool { return s.col.err != nil }, cfg.Args...)
 	if err != nil && !errors.Is(err, minivm.ErrReplayDrift) {
 		return runTotals{}, fmt.Errorf("trace: run failed: %w", err)
 	}

@@ -129,10 +129,7 @@ func SegmentFixed(prog *Program, length uint64, args ...int64) (*Result, error) 
 // program to another compilation, using source-position debug info
 // (paper §6.2.1). It returns the mapped set and how many markers mapped.
 func MapMarkers(set *MarkerSet, from, to *Program) (*MarkerSet, int, error) {
-	mapped, rep, err := crossbin.MapMarkers(set, from, to)
-	if err != nil {
-		return nil, 0, err
-	}
+	mapped, rep := crossbin.MapMarkers(set, from, to)
 	return mapped, rep.Mapped, nil
 }
 
