@@ -14,14 +14,12 @@ import (
 // phasemark/bench-hotpath/v3 report at outPath. stageFilter selects a
 // comma-separated subset of stages (empty = all); naming a stage that
 // does not exist is a usage error (exit 2), matching the -fig
-// convention. scale is the trace amplifier applied to the streaming
-// stages (see hotbench.StagesScaled); main validates it before calling.
-// An existing run with the same label is updated stage-wise; other runs
-// and unmeasured stages are preserved, so the file accumulates the
-// before/after history of performance work. Progress and per-stage
-// results go to stderr; stdout is untouched.
-func runBench(outPath, label, stageFilter string, scale int) error {
-	stages := hotbench.StagesScaled(scale)
+// convention. An existing run with the same label is updated
+// stage-wise; other runs and unmeasured stages are preserved, so the
+// file accumulates the before/after history of performance work.
+// Progress and per-stage results go to stderr; stdout is untouched.
+func runBench(outPath, label, stageFilter string) error {
+	stages := hotbench.Stages()
 	if stageFilter != "" {
 		var names []string
 		for _, n := range strings.Split(stageFilter, ",") {
@@ -30,7 +28,7 @@ func runBench(outPath, label, stageFilter string, scale int) error {
 			}
 		}
 		var err error
-		stages, err = hotbench.StagesNamed(names, scale)
+		stages, err = hotbench.StagesNamed(names)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spexp: %v\n", err)
 			os.Exit(2)
@@ -67,8 +65,8 @@ func runBench(outPath, label, stageFilter string, scale int) error {
 // peakRSSKB reports the process's high-water resident set size in
 // kilobytes, read from /proc/self/status (Linux only; ok is false
 // elsewhere). CI's memory-bound smoke asserts on this line after running
-// the streaming stage at a large -scale: a bounded pipeline's RSS must
-// not grow with the amplified trace length.
+// pipeline_e2e_stream_long: a bounded pipeline's RSS must stay far below
+// what its ~623 M-instruction trace would take in memory.
 func peakRSSKB() (int64, bool) {
 	b, err := os.ReadFile("/proc/self/status")
 	if err != nil {

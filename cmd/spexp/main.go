@@ -17,7 +17,7 @@
 //	spexp -bench                         # hot-path stage benchmarks -> BENCH_hotpath.json
 //	spexp -bench -bench-label optimized  # record this measurement under a label
 //	spexp -bench -bench-stages project,cluster  # measure only the named stages
-//	spexp -bench -bench-stages pipeline_e2e_stream -scale 100  # amplified streaming run
+//	spexp -bench -bench-stages pipeline_e2e_stream_long  # bounded-memory streaming run
 //
 //	spexp -fig all -metrics out.json        # + metrics snapshot & BENCH_obs.json
 //	spexp -fig 7 -trace-out trace.json      # + Chrome trace (chrome://tracing)
@@ -71,7 +71,6 @@ func main() {
 	benchOut := flag.String("bench-out", "BENCH_hotpath.json", "with -bench: write/merge the phasemark/bench-hotpath/v3 report here")
 	benchLabel := flag.String("bench-label", "local", "with -bench: label for this measurement run (an existing run with the same label is updated stage-wise)")
 	benchStages := flag.String("bench-stages", "", "with -bench: comma-separated stage subset to measure (default all; unknown names exit 2)")
-	benchScale := flag.Int("scale", 1, "with -bench: trace amplifier for the streaming stages — the workload executes N times as one long trace (memory stays bounded; see pipeline_e2e_stream); must be >= 1")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "workloads to evaluate in parallel; each workload's profiles and traces get GOMAXPROCS/j goroutines (at least 1)")
 	metricsOut := flag.String("metrics", "", "write a metrics snapshot (counters, histograms, per-stage durations) to this JSON file, plus BENCH_obs.json with per-stage totals")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON file of every pipeline stage span")
@@ -90,17 +89,8 @@ func main() {
 		obs.SetTraceCapture(true)
 	}
 
-	// A -scale below 1 is a usage error (exit 2, like unknown figure or
-	// stage names) — never a silent clamp that would mislabel what a
-	// benchmark actually measured.
-	if *benchScale < 1 {
-		fmt.Fprintf(os.Stderr, "spexp: -scale must be >= 1, got %d\n", *benchScale)
-		flag.Usage()
-		os.Exit(2)
-	}
-
 	if *benchRun {
-		if err := runBench(*benchOut, *benchLabel, *benchStages, *benchScale); err != nil {
+		if err := runBench(*benchOut, *benchLabel, *benchStages); err != nil {
 			fmt.Fprintf(os.Stderr, "spexp: %v\n", err)
 			os.Exit(1)
 		}

@@ -257,16 +257,19 @@ func Clustering(c *simpoint.Clustering, numPoints int) error {
 // marker, and the inserted marks must not change the program's observable
 // behavior (out() stream and return value).
 func DetectorInstrument(prog *minivm.Program, set *core.MarkerSet, args ...int64) error {
-	det, md, _, err := core.DetectFirings(prog, set, args...)
+	det, md, rvd, err := core.DetectFirings(prog, set, args...)
 	if err != nil {
 		return fmt.Errorf("detector/instrument: %w", err)
 	}
-	inst, mi, err := core.InstrumentedFirings(prog, set, args...)
+	inst, mi, rvi, err := core.InstrumentedFirings(prog, set, args...)
 	if err != nil {
 		return fmt.Errorf("detector/instrument: %w", err)
 	}
 	if !slices.Equal(md.Output(), mi.Output()) {
 		return fmt.Errorf("detector/instrument: instrumentation changed the out() stream")
+	}
+	if rvd != rvi {
+		return fmt.Errorf("detector/instrument: instrumentation changed the return value: %d, want %d", rvi, rvd)
 	}
 	if len(det) != len(inst) {
 		return fmt.Errorf("detector/instrument: %d detector fires vs %d instrumented fires",

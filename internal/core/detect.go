@@ -115,14 +115,14 @@ func DetectFirings(prog *minivm.Program, set *MarkerSet, args ...int64) ([]Firin
 
 // InstrumentedFirings physically instruments prog with set (Instrument),
 // runs the rewritten binary, and returns the mark-stream firings with
-// GroupN applied, plus the finished machine. Firing.At counts the
-// instrumented binary's instructions, which include the inserted marks
-// and trampolines — compare marker sequences across binaries, not
-// positions.
-func InstrumentedFirings(prog *minivm.Program, set *MarkerSet, args ...int64) ([]Firing, *minivm.Machine, error) {
+// GroupN applied, the finished machine and the entry procedure's return
+// value, as DetectFirings does. Firing.At counts the instrumented
+// binary's instructions, which include the inserted marks and
+// trampolines — compare marker sequences across binaries, not positions.
+func InstrumentedFirings(prog *minivm.Program, set *MarkerSet, args ...int64) ([]Firing, *minivm.Machine, int64, error) {
 	inst, err := Instrument(prog, set)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	var seq []Firing
 	m := minivm.NewMachine(inst, nil)
@@ -130,10 +130,11 @@ func InstrumentedFirings(prog *minivm.Program, set *MarkerSet, args ...int64) ([
 		seq = append(seq, Firing{Marker: marker, At: m.Instructions()})
 	})
 	m.MarkFunc = h.Fn
-	if _, err := m.Run(args...); err != nil {
-		return nil, nil, fmt.Errorf("core: instrumented firings: %w", err)
+	rv, err := m.Run(args...)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: instrumented firings: %w", err)
 	}
-	return seq, m, nil
+	return seq, m, rv, nil
 }
 
 // TotalFired reports the total number of marker firings (phase-change

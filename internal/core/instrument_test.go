@@ -62,6 +62,35 @@ func TestInstrumentedBinaryMatchesDetector(t *testing.T) {
 	}
 }
 
+// DetectFirings and InstrumentedFirings both return the entry
+// procedure's return value, and it is the bare machine's: neither the
+// detector nor the inserted marks change what the program computes.
+func TestFiringRunsReturnEntryValue(t *testing.T) {
+	for _, opt := range []bool{false, true} {
+		prog := mustCompile(t, phasedProgram, opt)
+		g := mustProfile(t, prog, 10, 400)
+		set := SelectMarkers(g, SelectOptions{ILower: 1000})
+		want, err := minivm.NewMachine(prog, nil).Run(25, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == 0 {
+			t.Fatalf("opt=%v: entry returned 0, want a computed nonzero value", opt)
+		}
+		_, _, det, err := DetectFirings(prog, set, 25, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, inst, err := InstrumentedFirings(prog, set, 25, 400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if det != want || inst != want {
+			t.Fatalf("opt=%v: DetectFirings returned %d, InstrumentedFirings %d, bare machine %d", opt, det, inst, want)
+		}
+	}
+}
+
 func TestInstrumentDoesNotMutateOriginal(t *testing.T) {
 	prog := mustCompile(t, phasedProgram, false)
 	g := mustProfile(t, prog, 10, 400)

@@ -75,9 +75,9 @@ func (s *Suite) checkWorkload(w *workloads.Workload) ([]namedCheck, error) {
 	// traces above bit-for-bit — intervals, totals, the online
 	// projection, streamed clustering and CoV — in both cutting modes, on
 	// the serial path (stream/*) and on the record/replay split at
-	// workers 2 (stream-par/*; at Scale 1 every count from 2 up takes
-	// that one path). The cached materialized results serve as the
-	// reference, so this re-runs only the streaming side.
+	// workers 2 (stream-par/*; every count from 2 up takes that one
+	// path). The cached materialized results serve as the reference, so
+	// this re-runs only the streaming side.
 	base := trace.Config{Prog: d.prog, Args: d.w.Ref, CPU: uarch.DefaultConfig()}
 	cfgF := base
 	cfgF.FixedLen = FixedLen

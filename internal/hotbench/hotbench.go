@@ -55,31 +55,24 @@ const (
 )
 
 // streamK is the centroid count of the streaming mini-batch clusterer in
-// the pipeline_e2e_stream stage.
+// the long streaming stages.
 const streamK = 8
 
-// Stages returns the hot-path stages in reporting order at scale 1.
-func Stages() []Stage { return StagesScaled(1) }
+// longChunks is gzip's chunk count (its first argument) in the long
+// streaming stages, whose other arguments are train's. Train runs 4
+// chunks, 6,224,984 instructions; 653 run 622,795,752, over 100 times as
+// many, so the streaming stages trace one execution long enough that a
+// trace held in memory would show in the process's peak RSS.
+const longChunks = 653
 
-// StagesScaled returns the stages with the trace amplifier applied to the
-// streaming stages: pipeline_e2e_stream and pipeline_e2e_stream_par
-// execute their workload scale times as one long trace
-// (trace.Config.Scale), so `spexp -bench -scale 100` demonstrates
-// bounded-memory throughput on a 100× trace. The materializing stages are
-// intentionally left at scale 1 — their memory grows with the trace,
-// which is the point of the comparison.
+// Stages returns the hot-path stages in reporting order.
 //
-// Every tracing stage but pipeline_e2e_stream_par pins the serial path
-// (trace.Config.Workers 1), so its history stays comparable across
-// commits and machines; pipeline_e2e_stream_par runs trace's default,
-// GOMAXPROCS workers. scale must be >= 1 — the CLI rejects anything else
-// with exit 2 before reaching here, and this package refuses to clamp
-// silently: a benchmark labeled ×0 that silently ran ×1 would poison
-// cross-commit comparisons.
-func StagesScaled(scale int) []Stage {
-	if scale < 1 {
-		panic(fmt.Sprintf("hotbench: scale must be >= 1, got %d (the CLI validates -scale)", scale))
-	}
+// Every tracing stage but pipeline_e2e_stream_long_par pins the serial
+// path (trace.Config.Workers 1), so its history stays comparable across
+// commits and machines; pipeline_e2e_stream_long_par runs trace's
+// default, GOMAXPROCS workers: the record/replay split on a multi-core
+// host.
+func Stages() []Stage {
 	return []Stage{
 		{
 			Name: "interp_dispatch",
@@ -136,16 +129,16 @@ func StagesScaled(scale int) []Stage {
 			New:  newPipelineE2E,
 		},
 		{
-			Name: "pipeline_e2e_stream",
-			Desc: fmt.Sprintf("streaming bounded-memory pipeline: profile -> select -> chunked marker-cut trace feeding online projection, mini-batch k-means, and single-pass CoV, gzip train ×%d", scale),
+			Name: "pipeline_e2e_stream_long",
+			Desc: "streaming bounded-memory pipeline: profile -> select on gzip's train input, then a chunked marker-cut trace of one long gzip run (train's arguments at 653 chunks, ~623 M instructions) feeding online projection, mini-batch k-means, and single-pass CoV",
 			Unit: "Minstr/s",
-			New:  newPipelineE2EStream("pipeline_e2e_stream", scale, 1),
+			New:  newPipelineE2EStream("pipeline_e2e_stream_long", 1),
 		},
 		{
-			Name: "pipeline_e2e_stream_par",
-			Desc: fmt.Sprintf("pipeline_e2e_stream on the pipeline-parallel engine: trace production overlapped with chunk analysis (projection, mini-batch k-means, CoV) and amplified repetitions fanned over workers, gzip train ×%d, GOMAXPROCS workers — bit-identical to the serial stream", scale),
+			Name: "pipeline_e2e_stream_long_par",
+			Desc: "pipeline_e2e_stream_long on the record/replay split: trace production overlapped with chunk analysis (projection, mini-batch k-means, CoV), GOMAXPROCS workers — bit-identical to the serial stream",
 			Unit: "Minstr/s",
-			New:  newPipelineE2EStream("pipeline_e2e_stream_par", scale, 0),
+			New:  newPipelineE2EStream("pipeline_e2e_stream_long_par", 0),
 		},
 		{
 			Name: "project",
@@ -162,11 +155,11 @@ func StagesScaled(scale int) []Stage {
 	}
 }
 
-// StagesNamed resolves a list of stage names (in suite order, at the
-// given trace scale) or reports the unknown ones alongside the valid
-// set, mirroring the CLI convention for unknown figure names.
-func StagesNamed(names []string, scale int) ([]Stage, error) {
-	all := StagesScaled(scale)
+// StagesNamed resolves a list of stage names (in suite order) or reports
+// the unknown ones alongside the valid set, mirroring the CLI convention
+// for unknown figure names.
+func StagesNamed(names []string) ([]Stage, error) {
+	all := Stages()
 	known := make(map[string]Stage, len(all))
 	order := make([]string, 0, len(all))
 	for _, st := range all {
@@ -469,19 +462,20 @@ func newPipelineE2E() (func() (uint64, error), error) {
 }
 
 // newPipelineE2EStream is pipeline_e2e's bounded-memory twin: the same
-// profile → select → marker-cut trace, but streamed — interval chunks
-// flow through the online projector, the mini-batch clusterer, and the
-// single-pass CoV accumulator, and are recycled; nothing O(trace) is ever
-// resident. scale amplifies the traced execution (trace.Config.Scale)
-// and workers is its trace.Config.Workers; the sink sees the same
+// profile → select on gzip's train input, then a marker-cut trace of one
+// long gzip run (longChunks), streamed — interval chunks flow through the
+// online projector, the mini-batch clusterer, and the single-pass CoV
+// accumulator, and are recycled; nothing O(trace) is ever resident.
+// workers is the trace's trace.Config.Workers; the sink sees the same
 // intervals in the same order at any worker count, so only the wall
 // clock moves.
-func newPipelineE2EStream(name string, scale, workers int) func() (func() (uint64, error), error) {
+func newPipelineE2EStream(name string, workers int) func() (func() (uint64, error), error) {
 	return func() (func() (uint64, error), error) {
 		prog, w, err := compiled("gzip", false)
 		if err != nil {
 			return nil, err
 		}
+		long := append([]int64{longChunks}, w.Train[1:]...)
 		ucfg := uarch.DefaultConfig()
 		return func() (uint64, error) {
 			set, err := markerSet(prog, w.Train)
@@ -493,7 +487,7 @@ func newPipelineE2EStream(name string, scale, workers int) func() (func() (uint6
 			})
 			cov := trace.NewCoVAccumulator(trace.IntervalPhase, trace.CPIMetric)
 			r, err := trace.Run(trace.Config{
-				Prog: prog, Args: w.Train, CPU: ucfg, Markers: set, Scale: scale, Workers: workers,
+				Prog: prog, Args: long, CPU: ucfg, Markers: set, Workers: workers,
 				Sink: func(chunk []trace.Interval) error {
 					km.ObserveChunk(chunk)
 					cov.ObserveChunk(chunk)

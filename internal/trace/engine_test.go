@@ -57,74 +57,90 @@ func equalStreams(t *testing.T, got, want []Interval, label string) {
 	}
 }
 
-// The pipeline-parallel engine must produce a byte-identical interval
-// stream and identical totals at every worker count and chunk size, in
-// both cutting modes, at scale 1 (record/replay split) and scale 5
-// (rep-parallel workers), against the serial stream (Workers 1). Run
-// under -race this also exercises the split's ring and the repetition
-// handoffs for data races.
+// The record/replay split must produce a byte-identical interval stream
+// and identical totals at every worker count and chunk size, in both
+// cutting modes, against the serial stream (Workers 1). Run under -race
+// this also exercises the split's ring for data races.
 func TestEngineParallelDeterminism(t *testing.T) {
 	for _, mode := range []string{"marker", "fixed"} {
-		for _, scale := range []int{1, 5} {
-			t.Run(fmt.Sprintf("%s/scale%d", mode, scale), func(t *testing.T) {
-				base, _ := compileAndMark(t, 50_000)
-				if mode == "fixed" {
-					base.Markers = nil
-					base.FixedLen = 20_000
+		t.Run(mode, func(t *testing.T) {
+			base, _ := compileAndMark(t, 50_000)
+			if mode == "fixed" {
+				base.Markers = nil
+				base.FixedLen = 20_000
+			}
+			for _, chunk := range []int{1, 7, 256} {
+				ref := *base
+				ref.ChunkSize = chunk
+				ref.Workers = 1
+				want, wantRes := streamRun(t, ref)
+				if len(want) < 3 {
+					t.Fatalf("chunk %d: reference stream has only %d intervals", chunk, len(want))
 				}
-				base.Scale = scale
-				for _, chunk := range []int{1, 7, 256} {
-					ref := *base
-					ref.ChunkSize = chunk
-					ref.Workers = 1
-					want, wantRes := streamRun(t, ref)
-					if len(want) < 3 {
-						t.Fatalf("chunk %d: reference stream has only %d intervals", chunk, len(want))
+				for _, workers := range []int{2, 4, 16} {
+					par := *base
+					par.ChunkSize = chunk
+					par.Workers = workers
+					got, res := streamRun(t, par)
+					label := fmt.Sprintf("chunk=%d workers=%d", chunk, workers)
+					equalStreams(t, got, want, label)
+					if res.Instructions != wantRes.Instructions || res.Total != wantRes.Total ||
+						res.MarkerFires != wantRes.MarkerFires || res.NumBlocks != wantRes.NumBlocks {
+						t.Fatalf("%s: totals differ: %+v vs %+v", label, res, wantRes)
 					}
-					for _, workers := range []int{2, 4, 16} {
-						par := *base
-						par.ChunkSize = chunk
-						par.Workers = workers
-						got, res := streamRun(t, par)
-						label := fmt.Sprintf("chunk=%d workers=%d", chunk, workers)
-						equalStreams(t, got, want, label)
-						if res.Instructions != wantRes.Instructions || res.Total != wantRes.Total ||
-							res.MarkerFires != wantRes.MarkerFires || res.NumBlocks != wantRes.NumBlocks {
-							t.Fatalf("%s: totals differ: %+v vs %+v", label, res, wantRes)
-						}
-						if res.Intervals != nil {
-							t.Fatalf("%s: engine run materialized intervals", label)
-						}
+					if res.Intervals != nil {
+						t.Fatalf("%s: engine run materialized intervals", label)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
+// eventCount counts a run's block, branch and memory events: the words
+// the split records for a fixed-cut analysis stack.
+type eventCount struct {
+	minivm.NopObserver
+	n int
+}
+
+func (c *eventCount) OnBlock(*minivm.Block)        { c.n++ }
+func (c *eventCount) OnBranch(*minivm.Block, bool) { c.n++ }
+func (c *eventCount) OnMem(uint64, bool)           { c.n++ }
+
+// splitRingWords is the event capacity of the split's ring: minivm's
+// splitRingBufs buffers of splitBufWords words.
+const splitRingWords = 3 * 32_768
+
 // Workers 0 resolves to GOMAXPROCS and 1 to the serial path, and a
-// materializing run on the engine equals the serial one bit for bit,
-// BBVs included, at every worker count, in both cutting modes, at scale
-// 1 (record/replay split) and scale 5 (rep-parallel workers). CI runs it
+// materializing run on the split equals the serial one bit for bit, BBVs
+// included, at every worker count, in both cutting modes. CI runs it
 // with -cpu 1,4,8 so the default lands on each side of the choice.
 func TestEngineMaterializing(t *testing.T) {
 	t.Run("default", func(t *testing.T) {
 		cfg, _ := compileAndMark(t, 50_000)
-		cfg.Markers, cfg.FixedLen = nil, 5_000
-		cfg.Args = []int64{1, 2000}
-		cfg.Scale, cfg.ChunkSize = 3*runtime.GOMAXPROCS(0), 1
+		cfg.Markers, cfg.FixedLen, cfg.ChunkSize = nil, 5_000, 1
+		cfg.Args = []int64{2, 20000}
+		var ev eventCount
+		if _, err := minivm.NewMachine(cfg.Prog, &ev).Run(cfg.Args...); err != nil {
+			t.Fatal(err)
+		}
+		if ev.n <= splitRingWords {
+			t.Fatalf("run has %d events, want more than the split's ring holds (%d)", ev.n, splitRingWords)
+		}
+		t.Logf("run has %d events; the split's ring holds %d", ev.n, splitRingWords)
 		for _, workers := range []int{0, 1} {
-			// Every rep worker has three repetitions, and the first
-			// chunk reaches the sink after the reducer has taken
-			// repetition 0 whole. A worker exits only after handing
-			// over its third repetition, which waits in its one-slot
-			// channel until the reducer has taken its second, after
-			// repetition 0. So, whatever the timing, the goroutines
-			// alive then are exactly the engine's min(Workers, Scale)
-			// rep workers, and none on the serial path.
+			// The first chunk reaches the sink while the first buffer
+			// replays (5,000 instructions record well under one
+			// buffer's 32,768 event words), and the producer cannot
+			// ship a fourth buffer before that one is replayed and
+			// freed. With more events than the ring holds it cannot
+			// have finished then, so, whatever the timing, the
+			// goroutines alive beside the caller are exactly the
+			// split's producer, and none on the serial path.
 			want := 0
 			if workers == 0 && runtime.GOMAXPROCS(0) > 1 {
-				want = min(runtime.GOMAXPROCS(0), cfg.Scale)
+				want = 1
 			}
 			c := *cfg
 			c.Workers = workers
@@ -145,37 +161,33 @@ func TestEngineMaterializing(t *testing.T) {
 		}
 	})
 	for _, mode := range []string{"marker", "fixed"} {
-		for _, scale := range []int{1, 5} {
-			t.Run(fmt.Sprintf("%s/scale%d", mode, scale), func(t *testing.T) {
-				cfg, _ := compileAndMark(t, 50_000)
-				cfg.Args = []int64{3, 20000}
-				if mode == "fixed" {
-					cfg.Markers, cfg.FixedLen = nil, 20_000
-				}
-				// A materializing run ignores ChunkSize at every worker
-				// count (repetitions travel whole), so a small one must
-				// change nothing.
-				cfg.ChunkSize = 2
-				cfg.Scale, cfg.Workers = scale, 1
-				want, err := Run(*cfg)
+		t.Run(mode, func(t *testing.T) {
+			cfg, _ := compileAndMark(t, 50_000)
+			cfg.Args = []int64{3, 20000}
+			if mode == "fixed" {
+				cfg.Markers, cfg.FixedLen = nil, 20_000
+			}
+			// A materializing run ignores ChunkSize at every worker
+			// count, so a small one must change nothing.
+			cfg.ChunkSize, cfg.Workers = 2, 1
+			want, err := Run(*cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want.Intervals) < 3 {
+				t.Fatalf("serial run has only %d intervals", len(want.Intervals))
+			}
+			for _, workers := range []int{2, 4, 16} {
+				cfg.Workers = workers
+				got, err := Run(*cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(want.Intervals) < 3 {
-					t.Fatalf("serial run has only %d intervals", len(want.Intervals))
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("workers=%d: materialized result differs from the serial run", workers)
 				}
-				for _, workers := range []int{2, 4, 16} {
-					cfg.Workers = workers
-					got, err := Run(*cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("workers=%d: materialized result differs from the serial run", workers)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -197,25 +209,26 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// Run must not return while a rep worker is still interpreting. The
-// program is sized so one repetition clearly outlasts the poll window:
-// a worker left running after the sink error would still be counted.
+// Run must not return while the split's producer is still interpreting.
+// The program is sized so one execution clearly outlasts the poll
+// window: a producer left running after the sink error would still be
+// counted.
 func TestEngineJoinsWorkersOnError(t *testing.T) {
 	cfg, _ := compileAndMark(t, 50_000)
-	var rep time.Duration
+	var run time.Duration
 	for cfg.Args[0] = 20; ; cfg.Args[0] *= 2 {
 		start := time.Now()
 		if _, err := Run(*cfg); err != nil {
 			t.Fatal(err)
 		}
-		if rep = time.Since(start); rep >= 4*leakWindow {
+		if run = time.Since(start); run >= 4*leakWindow {
 			break
 		}
 	}
-	t.Logf("one repetition (args %v) takes %v; poll window %v", cfg.Args, rep, leakWindow)
+	t.Logf("one execution (args %v) takes %v; poll window %v", cfg.Args, run, leakWindow)
 
 	sentinel := errors.New("sink full")
-	cfg.Scale, cfg.Workers, cfg.ChunkSize = 8, 4, 2
+	cfg.Workers, cfg.ChunkSize = 4, 2
 	cfg.Sink = func([]Interval) error { return sentinel }
 	base := runtime.NumGoroutine()
 	if _, err := Run(*cfg); !errors.Is(err, sentinel) {
@@ -225,67 +238,67 @@ func TestEngineJoinsWorkersOnError(t *testing.T) {
 }
 
 // Fault-injection sweep: a sink failing at chunk k — first, second,
-// middle, or last — must abort the run in every regime (serial, split,
-// rep-parallel) and cutting mode: its error is returned, it is never
-// called again, and no goroutine outlives Run.
+// middle, or last — must abort the run in every regime (serial, split)
+// and cutting mode: its error is returned, it is never called again, and
+// no goroutine outlives Run.
 func TestEngineSinkError(t *testing.T) {
 	sentinel := errors.New("sink full")
 	marked, _ := compileAndMark(t, 50_000)
 	marked.Args = []int64{1, 10000}
-	for _, scale := range []int{1, 5, 8} {
-		t.Run(fmt.Sprintf("scale%d", scale), func(t *testing.T) {
-			for _, mode := range []string{"marker", "fixed"} {
-				for _, workers := range []int{0, 1, 4, 16} {
-					cfg := *marked
-					if mode == "fixed" {
-						cfg.Markers = nil
-						cfg.FixedLen = 25_000
-					}
-					cfg.Scale, cfg.Workers, cfg.ChunkSize = scale, workers, 1
-					var n int
-					cfg.Sink = func([]Interval) error { n++; return nil }
-					if _, err := Run(cfg); err != nil {
-						t.Fatal(err)
-					}
-					if n < 4 {
-						t.Fatalf("%s workers=%d: only %d chunks", mode, workers, n)
-					}
-					for _, k := range []int{0, 1, n / 2, n - 1} {
-						label := fmt.Sprintf("%s workers=%d k=%d/%d", mode, workers, k, n)
-						calls := 0
-						cfg.Sink = func([]Interval) error {
-							calls++
-							if calls > k {
-								return sentinel
-							}
-							return nil
+	// One execution per run; the subtest keeps the name it had when Run
+	// could also tile repetitions.
+	t.Run("scale1", func(t *testing.T) {
+		for _, mode := range []string{"marker", "fixed"} {
+			for _, workers := range []int{0, 1, 4, 16} {
+				cfg := *marked
+				if mode == "fixed" {
+					cfg.Markers = nil
+					cfg.FixedLen = 25_000
+				}
+				cfg.Workers, cfg.ChunkSize = workers, 1
+				var n int
+				cfg.Sink = func([]Interval) error { n++; return nil }
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+				if n < 4 {
+					t.Fatalf("%s workers=%d: only %d chunks", mode, workers, n)
+				}
+				for _, k := range []int{0, 1, n / 2, n - 1} {
+					label := fmt.Sprintf("%s workers=%d k=%d/%d", mode, workers, k, n)
+					calls := 0
+					cfg.Sink = func([]Interval) error {
+						calls++
+						if calls > k {
+							return sentinel
 						}
-						base := runtime.NumGoroutine()
-						if _, err := Run(cfg); !errors.Is(err, sentinel) {
-							t.Fatalf("%s: err = %v, want the sink's error", label, err)
-						}
-						if calls != k+1 {
-							t.Fatalf("%s: sink called %d times, want %d", label, calls, k+1)
-						}
-						waitGoroutines(t, base)
+						return nil
 					}
+					base := runtime.NumGoroutine()
+					if _, err := Run(cfg); !errors.Is(err, sentinel) {
+						t.Fatalf("%s: err = %v, want the sink's error", label, err)
+					}
+					if calls != k+1 {
+						t.Fatalf("%s: sink called %d times, want %d", label, calls, k+1)
+					}
+					waitGoroutines(t, base)
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // A sink panic propagates to Run's caller unrecovered, in every regime,
 // and only after Run has joined the goroutines it started.
 func TestEngineSinkPanic(t *testing.T) {
 	for _, rc := range []struct {
-		name           string
-		scale, workers int
-	}{{"serial", 8, 1}, {"split", 1, 4}, {"reps", 8, 4}} {
+		name    string
+		workers int
+	}{{"serial", 1}, {"split", 4}} {
 		t.Run(rc.name, func(t *testing.T) {
 			cfg, _ := compileAndMark(t, 50_000)
 			cfg.Args = []int64{2, 20000}
-			cfg.Scale, cfg.Workers, cfg.ChunkSize = rc.scale, rc.workers, 2
+			cfg.Workers, cfg.ChunkSize = rc.workers, 2
 			calls := 0
 			cfg.Sink = func([]Interval) error {
 				if calls++; calls == 2 {
@@ -348,85 +361,6 @@ func TestCoVObserveChunkSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// Scale repetitions are independent cold executions: every repetition
-// of a scaled run must reproduce the single run's interval sequence
-// exactly (rebased onto its tile), in both cutting modes. This is the
-// property that lets repetitions run on any worker in any order.
-func TestScaleColdRepetitions(t *testing.T) {
-	for _, mode := range []string{"marker", "fixed"} {
-		t.Run(mode, func(t *testing.T) {
-			cfg, _ := compileAndMark(t, 50_000)
-			if mode == "fixed" {
-				cfg.Markers = nil
-				cfg.FixedLen = 20_000
-			}
-			single, err := Run(*cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Scale = 3
-			amp, err := Run(*cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := len(single.Intervals)
-			if len(amp.Intervals) != 3*n {
-				t.Fatalf("scaled run has %d intervals, want 3×%d", len(amp.Intervals), n)
-			}
-			if amp.MarkerFires != 3*single.MarkerFires {
-				t.Fatalf("scaled fires %d, want exactly 3×%d", amp.MarkerFires, single.MarkerFires)
-			}
-			for rep := 0; rep < 3; rep++ {
-				instrBase := uint64(rep) * single.Instructions
-				for i, w := range single.Intervals {
-					g := amp.Intervals[rep*n+i]
-					if g.Start != w.Start+instrBase || g.End != w.End+instrBase ||
-						g.PhaseID != w.PhaseID || g.Perf != w.Perf {
-						t.Fatalf("rep %d interval %d differs from single run: %+v vs %+v",
-							rep, i, *g, *w)
-					}
-				}
-			}
-		})
-	}
-}
-
-// A Scale run numbers and tiles its intervals on one global axis,
-// materializing and streaming, at every worker count: each repetition's
-// intervals carry local indices and positions, and the reducer rebases
-// them by the repetitions before it.
-func TestScaleGlobalAxis(t *testing.T) {
-	cfg, _ := compileAndMark(t, 50_000)
-	cfg.Scale, cfg.ChunkSize = 3, 4
-	for _, workers := range []int{1, 2} {
-		c := *cfg
-		c.Workers = workers
-		res, err := Run(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, _ := streamRun(t, c)
-		kept := make([]*Interval, len(streamed))
-		for i := range streamed {
-			kept[i] = &streamed[i]
-		}
-		for j, ivs := range [][]*Interval{res.Intervals, kept} {
-			label := fmt.Sprintf("workers %d %s", workers, []string{"materialized", "streamed"}[j])
-			var end uint64
-			for i, iv := range ivs {
-				if iv.Index != i || iv.Start != end {
-					t.Fatalf("%s: interval %d has index %d and starts at %d, want %d and %d",
-						label, i, iv.Index, iv.Start, i, end)
-				}
-				end = iv.End
-			}
-			if end != res.Instructions {
-				t.Fatalf("%s: intervals end at %d of %d", label, end, res.Instructions)
-			}
-		}
-	}
-}
-
 // An invalid program is an error wrapping minivm.ErrInvalidProgram on
 // every path, never a panic: Run validates before it sizes the timing
 // model's predictor, the BBV accumulator or the detector's tables from
@@ -436,11 +370,11 @@ func TestTraceRejectsInvalidProgram(t *testing.T) {
 	bad := *cfg.Prog
 	bad.NumBlocks = -1
 	cfg.Prog = &bad
-	for _, rc := range []struct{ scale, workers int }{{1, 1}, {1, 2}, {3, 1}} {
+	for _, workers := range []int{1, 2} {
 		c := *cfg
-		c.Scale, c.Workers = rc.scale, rc.workers
+		c.Workers = workers
 		if _, err := Run(c); !errors.Is(err, minivm.ErrInvalidProgram) {
-			t.Errorf("scale %d workers %d: err = %v, want ErrInvalidProgram", rc.scale, rc.workers, err)
+			t.Errorf("workers %d: err = %v, want ErrInvalidProgram", workers, err)
 		}
 	}
 }
@@ -463,35 +397,33 @@ proc main(reps, n) {
 
 // A run whose execution fails after its sink has already failed returns
 // the execution's error: a failed execution comes before a sink error,
-// on the serial machine, on the record/replay split, and in a Scale
-// repetition, serial or fanned out.
+// on the serial machine and on the record/replay split.
 func TestRunErrorPrecedence(t *testing.T) {
 	prog, err := compile.CompileSource(divSrc, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sentinel := errors.New("sink full")
-	for _, rc := range []struct{ scale, workers int }{{1, 1}, {1, 2}, {3, 1}, {3, 2}} {
+	for _, workers := range []int{1, 2} {
 		calls := 0
 		cfg := Config{
-			Prog: prog, Args: []int64{20, 5000}, FixedLen: 10_000, ChunkSize: 1,
-			Scale: rc.scale, Workers: rc.workers,
+			Prog: prog, Args: []int64{20, 5000}, FixedLen: 10_000, ChunkSize: 1, Workers: workers,
 			Sink: func([]Interval) error { calls++; return sentinel },
 		}
 		_, err := Run(cfg)
 		if !errors.Is(err, minivm.ErrDivByZero) || errors.Is(err, sentinel) {
-			t.Errorf("scale %d workers %d: err = %v, want the execution's division by zero", rc.scale, rc.workers, err)
+			t.Errorf("workers %d: err = %v, want the execution's division by zero", workers, err)
 		}
 		if calls != 1 {
-			t.Errorf("scale %d workers %d: sink called %d times, want 1", rc.scale, rc.workers, calls)
+			t.Errorf("workers %d: sink called %d times, want 1", workers, calls)
 		}
 	}
 }
 
-// A failed repetition reaches the sink as it does on the serial path, at
+// A failed execution reaches the sink as it does on the serial path, at
 // every worker count: its full chunks, never the partial one its
-// collector had not flushed, then its execution's error.
-func TestFailedRepetitionStream(t *testing.T) {
+// collector had not flushed, then its error.
+func TestFailedRunStream(t *testing.T) {
 	prog, err := compile.CompileSource(divSrc, compile.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -501,8 +433,7 @@ func TestFailedRepetitionStream(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			var got []Interval
 			cfg := Config{
-				Prog: prog, Args: []int64{20, 5000}, FixedLen: 10_000, ChunkSize: chunk,
-				Scale: 3, Workers: workers,
+				Prog: prog, Args: []int64{20, 5000}, FixedLen: 10_000, ChunkSize: chunk, Workers: workers,
 				Sink: func(c []Interval) error { got = append(got, copyIntervals(c)...); return nil },
 			}
 			label := fmt.Sprintf("chunk %d workers %d", chunk, workers)

@@ -80,37 +80,19 @@ type Config struct {
 	// every Interval in it — including BBV storage — are owned by the
 	// tracer and recycled after Sink returns; a sink must finish with (or
 	// deep-copy) anything it keeps. Working memory is then bounded by the
-	// chunk instead of the trace, or by 2W+1 repetitions when W workers
-	// run Scale repetitions, which travel whole (see Workers). A Sink
-	// error aborts the run. A Sink panic is not recovered: it propagates
-	// to Run's caller, after any goroutine Run started has been stopped
-	// and joined.
+	// chunk instead of the trace. A Sink error aborts the run. A Sink
+	// panic is not recovered: it propagates to Run's caller, after any
+	// goroutine Run started has been stopped and joined.
 	Sink func(chunk []Interval) error
 
 	// ChunkSize is the streaming chunk capacity in intervals (default 256).
 	// Ignored when Sink is nil.
 	ChunkSize int
 
-	// Scale amplifies the trace by executing the program Scale times,
-	// producing one Scale×-long segmented execution. Each repetition is a
-	// fresh execution — a new machine, timing model (caches, predictor,
-	// counters), cutter grid and detector — so it is cold by
-	// construction, and its final interval closes where it ends; the
-	// repetitions are tiled end to end on the instruction axis. Identical
-	// repetitions therefore produce identical interval sequences, which
-	// is what makes the amplified trace reproducible rep by rep (and lets
-	// Workers fan repetitions out without changing a single byte of
-	// output). 0 or 1 means a single execution.
-	Scale int
-
 	// Workers is the number of goroutines the run may use: 0 (the
 	// default) means runtime.GOMAXPROCS(0), 1 the serial in-line path,
-	// and 2 or more the pipeline-parallel paths — trace production
-	// decoupled from analysis through the record/replay split,
-	// minivm.RunSplit (single execution), or Scale repetitions fanned
-	// over W = min(Workers, Scale) workers as fresh serial runs, each
-	// handed over whole through its worker's one-slot channel and taken
-	// in order (amplified execution, engine.go). Streaming and
+	// and 2 or more the record/replay split, minivm.RunSplit, which
+	// decouples trace production from analysis. Streaming and
 	// materializing runs alike are bit-identical to the serial path at
 	// any worker count; only wall-clock changes. Negative is an error. A
 	// caller that already runs several traces at once passes each its
@@ -211,23 +193,6 @@ func (c *collector) flush() {
 	}
 }
 
-// runTotals are the totals of a run, or of one repetition of it.
-type runTotals struct {
-	intervals int
-	instrs    uint64
-	perf      uarch.Counters
-	fires     uint64
-}
-
-func (t runTotals) add(o runTotals) runTotals {
-	return runTotals{
-		intervals: t.intervals + o.intervals,
-		instrs:    t.instrs + o.instrs,
-		perf:      t.perf.Add(o.perf),
-		fires:     t.fires + o.fires,
-	}
-}
-
 // analysisStack is the one place an analysis run is wired: the timing
 // model, the interval collector, and the boundary source — marker
 // detector or fixed-length cutter — whose firings drive the collector's
@@ -242,17 +207,17 @@ type analysisStack struct {
 }
 
 // newAnalysisStack builds the stack for cfg; the collector streams
-// chunks to sink, or materializes intervals when sink is nil.
-func newAnalysisStack(cfg Config, sink func(chunk []Interval) error) *analysisStack {
+// chunks to cfg.Sink, or materializes intervals when it is nil.
+func newAnalysisStack(cfg Config) *analysisStack {
 	cpu := uarch.NewCPU(cfg.CPU, cfg.Prog)
 	col := &collector{
 		cpu:      cpu,
 		acc:      bbv.NewAccumulator(cfg.Prog.NumBlocks),
 		skipBBV:  cfg.SkipBBV,
-		sink:     sink,
+		sink:     cfg.Sink,
 		curPhase: ProloguePhase,
 	}
-	if sink != nil {
+	if cfg.Sink != nil {
 		col.arena = make([]Interval, 0, cfg.ChunkSize)
 	}
 	s := &analysisStack{cpu: cpu, col: col}
@@ -314,43 +279,39 @@ func (s *analysisStack) fired() uint64 {
 }
 
 // run drives one execution of cfg's program through the stack on
-// minivm.RunWorkers: the serial machine at one worker, and at two or more
-// the split, whose replay stops once a sink error poisons the collector.
-// It then closes the final interval and flushes the last chunk. Errors
-// take one precedence: a failed execution, then a sink error (the
-// poisoned collector only kept the doomed remainder from growing memory),
-// then replay drift.
-func (s *analysisStack) run(cfg Config, workers int) (runTotals, error) {
-	instrs, err := minivm.RunWorkers(cfg.Prog, s, workers, func() bool { return s.col.err != nil }, cfg.Args...)
+// minivm.RunWorkers at cfg.Workers: the serial machine at one worker, and
+// at two or more the split, whose replay stops once a sink error poisons
+// the collector. It then closes the final interval, flushes the last
+// chunk, records the run in the segmentation metrics and builds its
+// Result (Intervals is nil when streaming). Errors take one precedence: a
+// failed execution, then a sink error (the poisoned collector only kept
+// the doomed remainder from growing memory), then replay drift.
+func (s *analysisStack) run(cfg Config) (*Result, error) {
+	instrs, err := minivm.RunWorkers(cfg.Prog, s, cfg.Workers, func() bool { return s.col.err != nil }, cfg.Args...)
 	if err != nil && !errors.Is(err, minivm.ErrReplayDrift) {
-		return runTotals{}, fmt.Errorf("trace: run failed: %w", err)
+		return nil, fmt.Errorf("trace: run failed: %w", err)
 	}
 	if err == nil {
 		s.col.cut(ProloguePhase, instrs)
 		s.col.flush()
 	}
 	if s.col.err != nil {
-		return runTotals{}, fmt.Errorf("trace: sink: %w", s.col.err)
+		return nil, fmt.Errorf("trace: sink: %w", s.col.err)
 	}
 	if err != nil {
-		return runTotals{}, fmt.Errorf("trace: %w", err)
+		return nil, fmt.Errorf("trace: %w", err)
 	}
-	return runTotals{intervals: s.col.count, instrs: instrs, perf: s.cpu.Counters(), fires: s.fired()}, nil
-}
-
-// finish builds a completed run's Result (intervals is nil when
-// streaming) and records the run in the segmentation metrics.
-func finish(cfg Config, intervals []*Interval, t runTotals) *Result {
+	fires := s.fired()
 	obsTraceRuns.Inc()
-	obsIntervals.Add(uint64(t.intervals))
-	obsMarkerFires.Add(t.fires)
+	obsIntervals.Add(uint64(s.col.count))
+	obsMarkerFires.Add(fires)
 	return &Result{
-		Intervals:    intervals,
-		Total:        t.perf,
-		Instructions: t.instrs,
+		Intervals:    s.col.intervals,
+		Total:        s.cpu.Counters(),
+		Instructions: instrs,
 		NumBlocks:    cfg.Prog.NumBlocks,
-		MarkerFires:  t.fires,
-	}
+		MarkerFires:  fires,
+	}, nil
 }
 
 // Run executes the program under the timing model, cutting intervals per
@@ -379,13 +340,5 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = intervalChunk
 	}
-	if cfg.Scale >= 2 {
-		return runReps(cfg)
-	}
-	s := newAnalysisStack(cfg, cfg.Sink)
-	t, err := s.run(cfg, cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return finish(cfg, s.col.intervals, t), nil
+	return newAnalysisStack(cfg).run(cfg)
 }

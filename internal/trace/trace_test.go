@@ -319,60 +319,6 @@ func TestStreamingSinkError(t *testing.T) {
 	}
 }
 
-// Scale=N must amplify to N cold repetitions tiled as one long trace:
-// N× the instructions, contiguous tiling across repetition boundaries,
-// counters accumulated across repetitions.
-func TestScaleAmplifies(t *testing.T) {
-	cfg, _ := compileAndMark(t, 50_000)
-	single, err := Run(*cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg.Scale = 3
-	amp, err := Run(*cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if amp.Instructions != 3*single.Instructions {
-		t.Fatalf("scaled instructions %d, want 3×%d", amp.Instructions, single.Instructions)
-	}
-	if amp.MarkerFires < 3*single.MarkerFires {
-		t.Fatalf("scaled marker fires %d < 3×%d", amp.MarkerFires, single.MarkerFires)
-	}
-	prevEnd := uint64(0)
-	var total uint64
-	for _, iv := range amp.Intervals {
-		if iv.Start != prevEnd {
-			t.Fatalf("interval %d starts at %d, previous ended at %d", iv.Index, iv.Start, prevEnd)
-		}
-		if iv.Len() == 0 {
-			t.Fatalf("zero-length interval %d", iv.Index)
-		}
-		prevEnd = iv.End
-		total += iv.Len()
-	}
-	if total != amp.Instructions {
-		t.Fatalf("intervals cover %d of %d", total, amp.Instructions)
-	}
-	// Per-interval counters still sum to totals across resets.
-	var ins uint64
-	for _, iv := range amp.Intervals {
-		ins += iv.Perf.Instrs
-	}
-	if ins != amp.Total.Instrs {
-		t.Fatalf("per-interval instrs %d != total %d", ins, amp.Total.Instrs)
-	}
-	// Determinism: a scaled run is a repetition of identical executions,
-	// so the first rep's intervals must reproduce the single run's.
-	for i, iv := range single.Intervals[:len(single.Intervals)-1] {
-		a := amp.Intervals[i]
-		if a.Start != iv.Start || a.End != iv.End || a.PhaseID != iv.PhaseID {
-			t.Fatalf("rep 1 interval %d differs from single run: %+v vs %+v", i, *a, *iv)
-		}
-	}
-}
-
 func TestSkipBBV(t *testing.T) {
 	cfg, _ := compileAndMark(t, 50_000)
 	cfg.SkipBBV = true

@@ -40,7 +40,7 @@ type Counters struct {
 }
 
 // Add returns the elementwise sum c + other (for accumulating totals
-// across independent executions, e.g. trace.Config.Scale repetitions).
+// across independent executions, e.g. the programs of a benchmark pass).
 func (c Counters) Add(other Counters) Counters {
 	return Counters{
 		Instrs:   c.Instrs + other.Instrs,
