@@ -156,9 +156,13 @@ func Run(prog *minivm.Program, args []int64, src Source) (*RunResult, error) {
 			seg.cut(-1, at)
 		})
 	case src.SPM != nil:
-		seg.boundary = core.NewDetector(prog, nil, src.SPM, func(marker int, at uint64) {
+		det, err := core.NewDetector(prog, nil, src.SPM, func(marker int, at uint64) {
 			seg.cut(marker, at)
 		})
+		if err != nil {
+			return nil, fmt.Errorf("adapt: %w", err)
+		}
+		seg.boundary = det
 	case src.Reuse != nil:
 		seg.boundary = reuse.NewDetector(src.Reuse, func(phase int, at uint64) {
 			seg.cut(phase, at)

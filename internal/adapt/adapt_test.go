@@ -8,6 +8,7 @@ import (
 	"phasemark/internal/core"
 	"phasemark/internal/minivm"
 	"phasemark/internal/stats"
+	"phasemark/internal/trace"
 	"phasemark/internal/uarch"
 )
 
@@ -226,5 +227,59 @@ func TestAdaptRejectsInvalidProgram(t *testing.T) {
 		if _, err := Run(&bad, []int64{1}, src); !errors.Is(err, minivm.ErrInvalidProgram) {
 			t.Errorf("source %+v: err = %v, want ErrInvalidProgram", src, err)
 		}
+	}
+}
+
+// midLoopEntry is a valid program that branches into the middle of a
+// loop: b0 jumps to b2 inside the loop b1..b2 (head b1) when its argument
+// is positive, so the loops active at b2 depend on the path taken.
+const midLoopEntry = `program entry=main globals=0
+
+proc main args=1 regs=4 line=1 {
+b0: line=1 col=1
+  const r1, 0
+  const r3, 10
+  br r0 > r1, b2, b1
+b1: line=2 col=1
+  addi r1, r1, 1
+  jump b2
+b2: line=3 col=1
+  addi r2, r2, 1
+  br r2 < r3, b1, b3
+b3: line=4 col=1
+  ret r2
+}
+`
+
+// TestMarkerDetectionRejectsIrregularLoops: every marker-detection entry
+// point refuses a program whose loops fail minivm.Loops.Check, with an
+// error wrapping minivm.ErrIrregularLoops, where the anchor-table
+// detector would be inexact. The profiler's walker still profiles it.
+func TestMarkerDetectionRejectsIrregularLoops(t *testing.T) {
+	prog, err := minivm.ParseAsm(midLoopEntry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := minivm.FindLoops(prog).Check(); !errors.Is(err, minivm.ErrIrregularLoops) {
+		t.Fatalf("Loops.Check = %v, want ErrIrregularLoops", err)
+	}
+	g, err := core.ProfileRun(prog, 1)
+	if err != nil {
+		t.Fatalf("profile: %v", err)
+	}
+	set := core.SelectMarkers(g, core.SelectOptions{ILower: 1})
+	if len(set.Markers) == 0 {
+		t.Fatal("no markers selected")
+	}
+	_, _, _, detErr := core.DetectFirings(prog, set, 1)
+	_, traceErr := trace.Run(trace.Config{Prog: prog, Args: []int64{1}, Markers: set, Workers: 1})
+	_, adaptErr := Run(prog, []int64{1}, Source{SPM: set})
+	for name, err := range map[string]error{"DetectFirings": detErr, "trace.Run": traceErr, "adapt.Run": adaptErr} {
+		if !errors.Is(err, minivm.ErrIrregularLoops) {
+			t.Errorf("%s: err = %v, want ErrIrregularLoops", name, err)
+		}
+	}
+	if _, err := trace.Run(trace.Config{Prog: prog, Args: []int64{1}, FixedLen: 10, Workers: 1}); err != nil {
+		t.Errorf("fixed-length trace.Run: %v", err)
 	}
 }

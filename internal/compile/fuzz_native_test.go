@@ -11,9 +11,9 @@ import (
 // oracle: each fuzz input seeds the random program generator (progGen,
 // shared with TestOptimizerEquivalenceFuzz), and every Options combination
 // — either backend, with or without the optimizer and the inliner — must
-// agree with the -O0 register build on return value and out() stream.
-// `go test -fuzz FuzzCompileDiff` explores seeds the fixed trial loop
-// never reaches.
+// have regular loops (minivm.Loops.Check) and agree with the -O0 register
+// build on return value and out() stream. `go test -fuzz FuzzCompileDiff`
+// explores seeds the fixed trial loop never reaches.
 func FuzzCompileDiff(f *testing.F) {
 	for _, s := range []uint64{0, 1, 7, 42, 1 << 20, 0xdeadbeef} {
 		f.Add(s, int64(3))
@@ -22,15 +22,15 @@ func FuzzCompileDiff(f *testing.F) {
 		g := &progGen{r: stats.NewRNG(seed*2654435761 + 1)}
 		src := g.generate()
 
-		var opts []Options
-		for bits := 0; bits < 8; bits++ {
-			opts = append(opts, Options{Optimize: bits&1 != 0, Inline: bits&2 != 0, Stack: bits&4 != 0})
-		}
+		opts := allOptions()
 		progs := make([]*minivm.Program, len(opts))
 		for i, o := range opts {
 			p, err := CompileSource(src, o)
 			if err != nil {
 				t.Fatalf("seed %d %+v: compile failed: %v\nsource:\n%s", seed, o, err, src)
+			}
+			if err := minivm.FindLoops(p).Check(); err != nil {
+				t.Fatalf("seed %d %+v: %v\nsource:\n%s", seed, o, err, src)
 			}
 			progs[i] = p
 		}

@@ -135,10 +135,22 @@ func (g *progGen) generate() string {
 	return g.sb.String()
 }
 
+// allOptions is every Options combination: either backend, with or
+// without the optimizer and the inliner.
+func allOptions() []Options {
+	var opts []Options
+	for bits := 0; bits < 8; bits++ {
+		opts = append(opts, Options{Optimize: bits&1 != 0, Inline: bits&2 != 0, Stack: bits&4 != 0})
+	}
+	return opts
+}
+
 // TestOptimizerEquivalenceFuzz compiles hundreds of random programs in
 // both modes and checks they produce identical observable behavior
 // (return value and out() stream) while the optimizer never increases
-// dynamic instruction count.
+// dynamic instruction count. Every program, at every Options
+// combination, must also have the loop shape static marker detection
+// needs (minivm.Loops.Check).
 func TestOptimizerEquivalenceFuzz(t *testing.T) {
 	trials := 300
 	if testing.Short() {
@@ -147,14 +159,19 @@ func TestOptimizerEquivalenceFuzz(t *testing.T) {
 	for seed := 0; seed < trials; seed++ {
 		g := &progGen{r: stats.NewRNG(uint64(seed)*2654435761 + 1)}
 		src := g.generate()
-		p0, err := CompileSource(src, Options{})
-		if err != nil {
-			t.Fatalf("seed %d: -O0 compile failed: %v\nsource:\n%s", seed, err, src)
+		opts := allOptions()
+		progs := make([]*minivm.Program, len(opts))
+		for i, o := range opts {
+			p, err := CompileSource(src, o)
+			if err != nil {
+				t.Fatalf("seed %d %+v: compile failed: %v\nsource:\n%s", seed, o, err, src)
+			}
+			if err := minivm.FindLoops(p).Check(); err != nil {
+				t.Fatalf("seed %d %+v: %v\nsource:\n%s", seed, o, err, src)
+			}
+			progs[i] = p
 		}
-		p1, err := CompileSource(src, Options{Optimize: true})
-		if err != nil {
-			t.Fatalf("seed %d: opt compile failed: %v\nsource:\n%s", seed, err, src)
-		}
+		p0, p1 := progs[0], progs[1] // -O0 and optimized, in allOptions' order
 		for _, arg := range []int64{0, 1, -3, 17} {
 			m0 := minivm.NewMachine(p0, nil)
 			m0.MaxInstrs = 5_000_000

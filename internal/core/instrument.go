@@ -27,10 +27,13 @@ import (
 //   - loop iteration edges (head→body): the head's in-region outgoing
 //     edges are split the same way, firing once per iteration.
 //
-// Static marks are context-insensitive; for recursive procedures a
-// head→body mark fires per activation where the call-loop walker counts
-// only outermost episodes. GroupN counting is the mark consumer's job
-// (see MarkHandler).
+// Static marks are context-insensitive, where the Detector reads the
+// call-loop context as the profiler's walker does. On recursion this
+// differs: a head→body mark fires on every activation, and the Detector
+// fires it once per outermost episode; a call-site mark fires on every
+// call from its site, and the Detector counts a call into an
+// already-active procedure on the recursive edge into its body instead.
+// GroupN counting is the mark consumer's job (see MarkHandler).
 func Instrument(prog *minivm.Program, set *MarkerSet) (*minivm.Program, error) {
 	clone := cloneProgram(prog)
 	loops := minivm.FindLoops(clone)

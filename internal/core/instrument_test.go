@@ -20,9 +20,12 @@ func TestInstrumentedBinaryMatchesDetector(t *testing.T) {
 
 		// Reference: walker-based detection on the original binary.
 		var want []int
-		det := NewDetector(prog, nil, set, func(marker int, at uint64) {
+		det, err := NewDetector(prog, nil, set, func(marker int, at uint64) {
 			want = append(want, marker)
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := minivm.NewMachine(prog, det)
 		if _, err := m.Run(25, 400); err != nil {
 			t.Fatal(err)

@@ -57,9 +57,12 @@ func TestPredictionOnRealMarkerTrace(t *testing.T) {
 	g := mustProfile(t, prog, 10, 400)
 	set := SelectMarkers(g, SelectOptions{ILower: 1000})
 	var trace []int
-	det := NewDetector(prog, nil, set, func(marker int, at uint64) {
+	det, err := NewDetector(prog, nil, set, func(marker int, at uint64) {
 		trace = append(trace, marker)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := minivm.NewMachine(prog, det)
 	if _, err := m.Run(30, 400); err != nil {
 		t.Fatal(err)

@@ -182,9 +182,12 @@ func TestDetectorFiresAcrossInputs(t *testing.T) {
 	}
 
 	var boundaries []uint64
-	det := NewDetector(prog, nil, set, func(marker int, at uint64) {
+	det, err := NewDetector(prog, nil, set, func(marker int, at uint64) {
 		boundaries = append(boundaries, at)
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := minivm.NewMachine(prog, det)
 	if _, err := m.Run(40, 400); err != nil {
 		t.Fatal(err)
@@ -203,7 +206,10 @@ func TestDetectorFiresAcrossInputs(t *testing.T) {
 	}
 	// 4x the repetitions should fire roughly 4x the markers.
 	var trainFired uint64
-	detTrain := NewDetector(prog, nil, set, nil)
+	detTrain, err := NewDetector(prog, nil, set, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mt := minivm.NewMachine(prog, detTrain)
 	if _, err := mt.Run(10, 400); err != nil {
 		t.Fatal(err)

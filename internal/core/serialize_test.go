@@ -39,7 +39,10 @@ func TestMarkerSetJSONRoundTrip(t *testing.T) {
 	}
 	// The deserialized set must drive a detector identically.
 	fire := func(s *MarkerSet) uint64 {
-		det := NewDetector(prog, nil, s, nil)
+		det, err := NewDetector(prog, nil, s, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m := minivm.NewMachine(prog, det)
 		if _, err := m.Run(10, 400); err != nil {
 			t.Fatal(err)

@@ -7,8 +7,7 @@ import (
 )
 
 // EdgeSink receives call-loop edge traversal events from a Walker. The
-// profiler implements it to accumulate edge statistics; the marker
-// detector implements it to fire phase boundaries.
+// profiler implements it to accumulate edge statistics.
 //
 // Edges are named by dense ids the walker hands out in first-open order
 // (0, 1, 2, ...); Walker.Key maps an id back to its stable EdgeKey. A
@@ -23,12 +22,6 @@ type EdgeSink interface {
 	// dynamic instruction count spent on the traversal.
 	EdgeClose(id int32, hier uint64)
 }
-
-// edgeOpenOnly marks EdgeSinks whose EdgeClose is a no-op (the detector:
-// markers fire on edge opens). The walker then skips the close call on
-// every pop, which otherwise costs an interface dispatch per edge
-// traversal.
-type edgeOpenOnly interface{ edgeOpenOnly() }
 
 type walkEntry struct {
 	id    int32
@@ -45,23 +38,22 @@ type walkEdge struct {
 	next int32
 }
 
-// Walker reconstructs call-loop edge traversals from an execution. It is
-// the runtime core shared by profiling (graph building) and marker
-// detection: it mirrors the machine's call stack and active-loop nesting,
-// opening and closing edges of the (virtual) call-loop graph and measuring
-// hierarchical instruction counts.
+// Walker reconstructs call-loop edge traversals from an execution, the
+// runtime core of profiling (graph building): it mirrors the machine's
+// call stack and active-loop nesting, opening and closing edges of the
+// (virtual) call-loop graph and measuring hierarchical instruction
+// counts. It works on any valid program. Marker detection does not run
+// it: a Detector fires the same opens on marker edges from static anchor
+// tables.
 //
 // Wire it to a Machine as the Observer, or call its methods from a
 // composite observer that runs it alongside other analyses.
 type Walker struct {
-	prog     *minivm.Program
-	loops    *minivm.Loops
-	sink     EdgeSink
-	tracker  *minivm.LoopTracker
-	instrs   uint64
-	stack    []walkEntry
-	act      []int // activation count per proc ID (recursion detection)
-	openOnly bool  // sink ignores EdgeClose (see edgeOpenOnly)
+	sink    EdgeSink
+	tracker *minivm.LoopTracker
+	instrs  uint64
+	stack   []walkEntry
+	act     []int // activation count per proc ID (recursion detection)
 
 	edges    []walkEdge // edge id -> key and same-site chain
 	siteEdge []int32    // site block ID -> last edge id numbered there, or -1
@@ -72,16 +64,8 @@ type Walker struct {
 // must come from the same program) reporting to sink, and opens the
 // virtual root's edges into the entry procedure.
 func NewWalker(prog *minivm.Program, loops *minivm.Loops, sink EdgeSink) *Walker {
-	w := newWalker(prog, loops, sink)
-	w.openRoot()
-	return w
-}
-
-// newWalker builds a walker without opening the root edges, for sinks
-// that must hold the walker (to resolve ids) before the first EdgeOpen.
-func newWalker(prog *minivm.Program, loops *minivm.Loops, sink EdgeSink) *Walker {
 	w := &Walker{
-		prog: prog, loops: loops, sink: sink,
+		sink:     sink,
 		act:      make([]int, len(prog.Procs)),
 		siteEdge: make([]int32, prog.NumBlocks),
 		iterID:   make([]int32, prog.NumBlocks),
@@ -89,15 +73,10 @@ func newWalker(prog *minivm.Program, loops *minivm.Loops, sink EdgeSink) *Walker
 	for i := range w.siteEdge {
 		w.siteEdge[i], w.iterID[i] = -1, -1
 	}
-	_, w.openOnly = sink.(edgeOpenOnly)
 	w.tracker = minivm.NewLoopTracker(loops, w)
-	return w
-}
-
-// openRoot opens the virtual root's call into the entry procedure.
-func (w *Walker) openRoot() {
-	entry := w.prog.EntryProc()
+	entry := prog.EntryProc()
 	w.openProc(NodeKey{Kind: RootKind}, entry, entry.Blocks[0].ID)
+	return w
 }
 
 // Key returns the stable key of the edge the walker numbered id.
@@ -123,7 +102,7 @@ func (w *Walker) Instructions() uint64 { return w.instrs }
 
 // ObservedEvents implements minivm.EventMasker: the walker mirrors control
 // flow (blocks, calls, returns) and never reads branch outcomes or memory
-// references. Embedders (Profiler, Detector) inherit the mask.
+// references. The Profiler inherits the mask.
 func (w *Walker) ObservedEvents() minivm.EventMask {
 	return minivm.EvBlock | minivm.EvCall | minivm.EvReturn
 }
@@ -142,9 +121,7 @@ func (w *Walker) push(id int32, node NodeKey, full bool) {
 
 func (w *Walker) pop() {
 	n := len(w.stack) - 1
-	if !w.openOnly {
-		w.sink.EdgeClose(w.stack[n].id, w.instrs-w.stack[n].start)
-	}
+	w.sink.EdgeClose(w.stack[n].id, w.instrs-w.stack[n].start)
 	w.stack = w.stack[:n]
 }
 

@@ -94,7 +94,7 @@ func Stages() []Stage {
 		},
 		{
 			Name: "detector_fire",
-			Desc: "marker detection: art on its train input under a walker-based detector for its own limit-mode markers (100k-2M with loop-iteration grouping — the config with real probe traffic, ~4% of instructions; the no-limit selection's markers sit on edges traversed a few dozen times, leaving nothing to detect)",
+			Desc: "marker detection: art on its train input under a core.Detector (static anchor tables) for its own limit-mode markers (100k-2M with loop-iteration grouping — the config with real probe traffic, ~4% of instructions; the no-limit selection's markers sit on edges traversed a few dozen times, leaving nothing to detect)",
 			Unit: "Minstr/s",
 			New:  newDetectorFire,
 		},
@@ -337,7 +337,10 @@ func newDetectorFire() (func() (uint64, error), error) {
 	set := core.SelectMarkers(g, detectorSelect)
 	loops := minivm.FindLoops(prog)
 	return func() (uint64, error) {
-		det := core.NewDetector(prog, loops, set, nil)
+		det, err := core.NewDetector(prog, loops, set, nil)
+		if err != nil {
+			return 0, err
+		}
 		m := minivm.NewMachine(prog, det)
 		if _, err := m.Run(w.Train...); err != nil {
 			return 0, err
@@ -372,7 +375,10 @@ func newDetectorFireMin() (func() (uint64, error), error) {
 	}
 	loops := minivm.FindLoops(prog)
 	return func() (uint64, error) {
-		det := core.NewDetector(prog, loops, min, nil)
+		det, err := core.NewDetector(prog, loops, min, nil)
+		if err != nil {
+			return 0, err
+		}
 		m := minivm.NewMachine(prog, det)
 		if _, err := m.Run(w.Train...); err != nil {
 			return 0, err

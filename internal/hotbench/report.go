@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -64,27 +65,52 @@ func cpuModel() string {
 	return "unknown"
 }
 
-// StageResult is one stage's measurement. Work units are dynamic
-// instructions for the execution stages and memory events for cpu_onmem;
-// Unit names the work unit so WorkPerSec reads unambiguously.
+// StageResult is one stage's measurement: the median of Samples
+// testing.Benchmark runs, with the fastest and slowest runs' ns/op as its
+// spread (runs recorded before the spread was kept have none). Work units
+// are dynamic instructions for the execution stages and memory events for
+// cpu_onmem; Unit names the work unit so WorkPerSec reads unambiguously.
 type StageResult struct {
 	Name        string  `json:"name"`
 	Desc        string  `json:"desc"`
 	Unit        string  `json:"unit"`
 	NsPerOp     float64 `json:"ns_op"`
+	NsPerOpMin  float64 `json:"ns_op_min,omitempty"`
+	NsPerOpMax  float64 `json:"ns_op_max,omitempty"`
+	Samples     int     `json:"samples,omitempty"`
 	BytesPerOp  int64   `json:"bytes_op"`
 	AllocsPerOp int64   `json:"allocs_op"`
 	WorkPerOp   uint64  `json:"work_per_op"`
 	WorkPerSec  float64 `json:"work_per_sec"`
 }
 
-// MeasureStage benchmarks one stage via testing.Benchmark (which picks the
-// iteration count the way `go test -bench` does).
+// Samples is how many testing.Benchmark runs MeasureStage takes of a
+// stage: one run cannot tell a change from host noise.
+const Samples = 3
+
+// MeasureStage benchmarks one stage as Samples testing.Benchmark runs,
+// each picking its iteration count the way `go test -bench` does, and
+// returns the median run with the spread of all of them.
 func MeasureStage(st Stage) (StageResult, error) {
 	run, err := st.New()
 	if err != nil {
 		return StageResult{}, fmt.Errorf("hotbench: %s: %w", st.Name, err)
 	}
+	runs := make([]StageResult, Samples)
+	for i := range runs {
+		if runs[i], err = sample(run); err != nil {
+			return StageResult{}, fmt.Errorf("hotbench: %s: %w", st.Name, err)
+		}
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].NsPerOp < runs[j].NsPerOp })
+	sr := runs[len(runs)/2]
+	sr.Name, sr.Desc, sr.Unit = st.Name, st.Desc, st.Unit
+	sr.NsPerOpMin, sr.NsPerOpMax, sr.Samples = runs[0].NsPerOp, runs[len(runs)-1].NsPerOp, len(runs)
+	return sr, nil
+}
+
+// sample is one testing.Benchmark run of a stage's op.
+func sample(run func() (uint64, error)) (StageResult, error) {
 	var work uint64
 	var runErr error
 	res := testing.Benchmark(func(b *testing.B) {
@@ -99,12 +125,9 @@ func MeasureStage(st Stage) (StageResult, error) {
 		}
 	})
 	if runErr != nil {
-		return StageResult{}, fmt.Errorf("hotbench: %s: %w", st.Name, runErr)
+		return StageResult{}, runErr
 	}
 	sr := StageResult{
-		Name:        st.Name,
-		Desc:        st.Desc,
-		Unit:        st.Unit,
 		NsPerOp:     float64(res.NsPerOp()),
 		BytesPerOp:  res.AllocedBytesPerOp(),
 		AllocsPerOp: res.AllocsPerOp(),
@@ -129,8 +152,8 @@ func Measure(label string, stages []Stage, w io.Writer) (Run, error) {
 		if err != nil {
 			return Run{}, err
 		}
-		fmt.Fprintf(w, "  %-16s %12.1f ns/op  %8d allocs/op  %10.1f %s\n",
-			st.Name, sr.NsPerOp, sr.AllocsPerOp, sr.WorkPerSec/1e6, sr.Unit)
+		fmt.Fprintf(w, "  %-16s %12.1f ns/op (%.1f-%.1f)  %8d allocs/op  %10.1f %s\n",
+			st.Name, sr.NsPerOp, sr.NsPerOpMin, sr.NsPerOpMax, sr.AllocsPerOp, sr.WorkPerSec/1e6, sr.Unit)
 		run.Stages = append(run.Stages, sr)
 	}
 	return run, nil

@@ -1,6 +1,9 @@
 package minivm
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Loop is a static loop discovered exactly as in the paper: a
 // non-interprocedural backwards branch defines a back edge, and the loop is
@@ -42,7 +45,8 @@ func (ls *Loops) LoopAtHead(b *Block) *Loop { return ls.headByID[b.ID] }
 
 // FindLoops discovers all loops in the program from backwards branches.
 // Our compiler generates only reducible loops entered through their heads,
-// so the region-based runtime tracking below is exact.
+// so the region-based runtime tracking below is exact; Loops.Check states
+// that shape and verifies it for a given program.
 func FindLoops(p *Program) *Loops {
 	ls := &Loops{
 		ByProc:   make([][]*Loop, len(p.Procs)),
@@ -92,6 +96,70 @@ func FindLoops(p *Program) *Loops {
 		ls.All = append(ls.All, loops...)
 	}
 	return ls
+}
+
+// ErrIrregularLoops is the error Loops.Check wraps for a program whose
+// loop regions do not have the shape static marker detection relies on.
+var ErrIrregularLoops = errors.New("minivm: irregular loop regions")
+
+// Check verifies that the loop regions are regular: any two loops of a
+// procedure are nested or disjoint, and every intra-procedure edge (a
+// jump, either branch arm, a call's continuation) that enters a loop's
+// region from outside it lands on the loop's head. A procedure's entry is
+// its block 0, so no loop contains it without heading it. Under this
+// shape the loops active at a block are exactly the loops whose regions
+// contain it, so the call-loop context of every marker anchor (call site,
+// loop entry, iteration) is a function of its block alone, which is what
+// lets a detector fire markers from static tables. It returns nil or an
+// error wrapping ErrIrregularLoops that names the first offence.
+func (ls *Loops) Check() error {
+	for _, loops := range ls.ByProc {
+		if len(loops) == 0 {
+			continue
+		}
+		pr := loops[0].Proc
+		// Loops are ordered by head; a stack of open regions finds the
+		// first pair that overlaps without nesting.
+		var open []*Loop
+		inner := make([]*Loop, len(pr.Blocks)) // block index -> innermost loop
+		for _, l := range loops {
+			for len(open) > 0 && open[len(open)-1].End < l.Head.Index {
+				open = open[:len(open)-1]
+			}
+			if n := len(open); n > 0 && l.End > open[n-1].End {
+				return fmt.Errorf("%w: %v overlaps %v", ErrIrregularLoops, l, open[n-1])
+			}
+			open = append(open, l)
+			for i := l.Head.Index; i <= l.End; i++ {
+				inner[i] = l
+			}
+		}
+		for _, b := range pr.Blocks {
+			for _, s := range successors(b) {
+				for l := inner[s]; l != nil && !l.Contains(b.Index); l = l.Parent {
+					if l.Head.Index != s {
+						return fmt.Errorf("%w: %s b%d enters %v at b%d, not its head",
+							ErrIrregularLoops, pr.Name, b.Index, l, s)
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// successors returns the intra-procedure successors of b: jump and branch
+// targets and a call's continuation.
+func successors(b *Block) []int {
+	switch b.Term.Kind {
+	case TermJump:
+		return []int{b.Term.Target}
+	case TermBranch:
+		return []int{b.Term.Target, b.Term.Else}
+	case TermCall:
+		return []int{b.Term.Next}
+	}
+	return nil
 }
 
 // backEdgeTargets returns the target block indices of backwards control

@@ -364,6 +364,50 @@ func TestFindLoopsOnHandBuiltProgram(t *testing.T) {
 	}
 }
 
+// TestLoopsCheck: Loops.Check accepts a loop entered through its head
+// and names the two irregular shapes, loops that overlap without nesting
+// and an edge into a loop's region that misses its head.
+func TestLoopsCheck(t *testing.T) {
+	if err := FindLoops(buildProg(t)).Check(); err != nil {
+		t.Errorf("hand-built program: %v", err)
+	}
+	for _, tc := range []struct{ name, body, want string }{
+		// b1..b3 and b2..b4 overlap.
+		{"overlap", `b0: line=1 col=1
+  jump b1
+b1: line=1 col=1
+  jump b2
+b2: line=1 col=1
+  br r0 < r1, b3, b5
+b3: line=1 col=1
+  br r0 < r1, b1, b4
+b4: line=1 col=1
+  br r0 < r1, b2, b5
+b5: line=1 col=1
+  ret r0
+`, "overlaps"},
+		// b0 branches to b2, inside b1..b2 past its head.
+		{"mid-entry", `b0: line=1 col=1
+  br r0 < r1, b2, b1
+b1: line=1 col=1
+  jump b2
+b2: line=1 col=1
+  br r0 < r1, b1, b3
+b3: line=1 col=1
+  ret r0
+`, "not its head"},
+	} {
+		p, err := ParseAsm("program entry=main globals=0\n\nproc main args=1 regs=2 line=1 {\n" + tc.body + "}\n")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		err = FindLoops(p).Check()
+		if !errors.Is(err, ErrIrregularLoops) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Check = %v, want ErrIrregularLoops (%s)", tc.name, err, tc.want)
+		}
+	}
+}
+
 type loopLog struct {
 	events []string
 }

@@ -207,8 +207,10 @@ type analysisStack struct {
 }
 
 // newAnalysisStack builds the stack for cfg; the collector streams
-// chunks to cfg.Sink, or materializes intervals when it is nil.
-func newAnalysisStack(cfg Config) *analysisStack {
+// chunks to cfg.Sink, or materializes intervals when it is nil. Marker
+// cutting fails on a program the detector cannot serve (see
+// core.NewDetector).
+func newAnalysisStack(cfg Config) (*analysisStack, error) {
 	cpu := uarch.NewCPU(cfg.CPU, cfg.Prog)
 	col := &collector{
 		cpu:      cpu,
@@ -226,14 +228,18 @@ func newAnalysisStack(cfg Config) *analysisStack {
 			col.cut(ProloguePhase, at)
 		})
 	} else {
-		s.det = core.NewDetector(cfg.Prog, nil, cfg.Markers, col.cut)
+		det, err := core.NewDetector(cfg.Prog, nil, cfg.Markers, col.cut)
+		if err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		s.det = det
 	}
-	return s
+	return s, nil
 }
 
 // ObservedEvents implements minivm.EventMasker: the timing model's blocks,
 // branches and memory references, plus calls and returns when a detector
-// walks the call-loop graph.
+// cuts at markers.
 func (s *analysisStack) ObservedEvents() minivm.EventMask {
 	ev := minivm.EvBlock | minivm.EvBranch | minivm.EvMem
 	if s.det != nil {
@@ -340,5 +346,9 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.ChunkSize <= 0 {
 		cfg.ChunkSize = intervalChunk
 	}
-	return newAnalysisStack(cfg).run(cfg)
+	s, err := newAnalysisStack(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(cfg)
 }

@@ -131,9 +131,12 @@ func TestInstrumentationMatchesDetectorOnAllWorkloads(t *testing.T) {
 				t.Skip("no markers at this ilower")
 			}
 			var want []int
-			det := core.NewDetector(prog, nil, set, func(marker int, at uint64) {
+			det, err := core.NewDetector(prog, nil, set, func(marker int, at uint64) {
 				want = append(want, marker)
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
 			m := minivm.NewMachine(prog, det)
 			if _, err := m.Run(w.Train...); err != nil {
 				t.Fatal(err)
@@ -186,5 +189,29 @@ func TestStackBackendAgreesOnAllWorkloads(t *testing.T) {
 					mS.Instructions(), mR.Instructions())
 			}
 		})
+	}
+}
+
+// TestLoopsRegularInEveryBuild: every build the experiments use has the
+// loop shape static marker detection needs (minivm.Loops.Check), so
+// core.NewDetector accepts all of them.
+func TestLoopsRegularInEveryBuild(t *testing.T) {
+	builds := []compile.Options{
+		{},
+		{Optimize: true},
+		{Optimize: true, Inline: true},
+		{Stack: true},
+		{Stack: true, Optimize: true},
+	}
+	for _, w := range All() {
+		for _, o := range builds {
+			p, err := compile.CompileSource(w.Source, o)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", w.Name, o, err)
+			}
+			if err := minivm.FindLoops(p).Check(); err != nil {
+				t.Errorf("%s %+v: %v", w.Name, o, err)
+			}
+		}
 	}
 }
