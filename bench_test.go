@@ -18,6 +18,8 @@ package phasemark_test
 // output too; the full tables come from `go run ./cmd/spexp -fig all`.
 
 import (
+	"context"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -31,7 +33,7 @@ import (
 
 // sharedSuite memoizes profiles/traces across figure benchmarks, as spexp
 // does, so the full bench run stays tractable.
-var sharedSuite = experiments.NewSuite()
+var sharedSuite = experiments.NewSuite(runtime.GOMAXPROCS(0))
 
 // avgColumn extracts the avg-row value of a named column. A missing
 // column or unparseable cell fails the benchmark: a silent 0 here would
@@ -65,7 +67,7 @@ func avgColumn(b *testing.B, t *experiments.Table, col string) float64 {
 
 func BenchmarkFig3TimeVarying(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := sharedSuite.Fig3(); err != nil {
+		if _, err := sharedSuite.Fig3(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,7 +75,7 @@ func BenchmarkFig3TimeVarying(b *testing.B) {
 
 func BenchmarkFig4CrossBinary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := sharedSuite.Fig4(); err != nil {
+		if _, err := sharedSuite.Fig4(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +83,7 @@ func BenchmarkFig4CrossBinary(b *testing.B) {
 
 func BenchmarkFig5Projection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := sharedSuite.Fig56(); err != nil {
+		if _, err := sharedSuite.Fig56(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -91,7 +93,7 @@ func BenchmarkFig7IntervalLength(b *testing.B) {
 	var t *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		if t, err = sharedSuite.Fig7(); err != nil {
+		if t, err = sharedSuite.Fig7(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +105,7 @@ func BenchmarkFig8PhaseCount(b *testing.B) {
 	var t *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		if t, err = sharedSuite.Fig8(); err != nil {
+		if t, err = sharedSuite.Fig8(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -115,7 +117,7 @@ func BenchmarkFig9CoV(b *testing.B) {
 	var t *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		if t, err = sharedSuite.Fig9(); err != nil {
+		if t, err = sharedSuite.Fig9(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -127,7 +129,7 @@ func BenchmarkFig10CacheReconfig(b *testing.B) {
 	var t *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		if t, err = sharedSuite.Fig10(); err != nil {
+		if t, err = sharedSuite.Fig10(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +141,7 @@ func BenchmarkFig11SimTime(b *testing.B) {
 	var t *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		if t, err = sharedSuite.Fig11(); err != nil {
+		if t, err = sharedSuite.Fig11(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +153,7 @@ func BenchmarkFig12CPIError(b *testing.B) {
 	var t *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		if t, err = sharedSuite.Fig12(); err != nil {
+		if t, err = sharedSuite.Fig12(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -163,7 +165,7 @@ func BenchmarkCrossBinaryTraces(b *testing.B) {
 	var t *experiments.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		if t, err = sharedSuite.CrossBinary(); err != nil {
+		if t, err = sharedSuite.CrossBinary(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,6 +49,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net/http"
@@ -98,11 +99,9 @@ func main() {
 	}
 
 	if *checkRun {
-		s := experiments.NewSuite()
-		s.SetParallelism(*jobs)
 		start := time.Now()
 		sp := obs.StartSpan("check.suite", "")
-		err := s.RunChecks(os.Stdout)
+		err := experiments.NewSuite(*jobs).RunChecks(obs.ContextWithSpan(context.Background(), sp), os.Stdout)
 		sp.End()
 		fmt.Fprintf(os.Stderr, "(invariant suite ran in %v)\n", time.Since(start).Round(time.Millisecond))
 		if werr := writeObservability(*metricsOut, *traceOut); werr != nil {
@@ -122,8 +121,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	s := experiments.NewSuite()
-	s.SetParallelism(*jobs)
+	s := experiments.NewSuite(*jobs)
 	if err := s.SetPlacementModes(*placementModes); err != nil {
 		fmt.Fprintf(os.Stderr, "spexp: %v\n", err)
 		os.Exit(2)
@@ -135,7 +133,7 @@ func main() {
 		}
 		start := time.Now()
 		sp := obs.StartSpan("figure."+ff.Name, "")
-		t, err := ff.Fn(s)
+		t, err := ff.Fn(s, obs.ContextWithSpan(context.Background(), sp))
 		sp.End()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spexp: figure %s: %v\n", ff.Name, err)

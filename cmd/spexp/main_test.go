@@ -39,7 +39,7 @@ func TestParseFigsRejectsUnknownNames(t *testing.T) {
 }
 
 func TestSetPlacementModesMirrorsFigConventions(t *testing.T) {
-	s := experiments.NewSuite()
+	s := experiments.NewSuite(1)
 	if err := s.SetPlacementModes(" limit , cross"); err != nil {
 		t.Fatal(err)
 	}

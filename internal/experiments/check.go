@@ -1,14 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"phasemark/internal/check"
-	"phasemark/internal/core"
 	"phasemark/internal/obs"
 	"phasemark/internal/trace"
-	"phasemark/internal/uarch"
 	"phasemark/internal/workloads"
 )
 
@@ -26,19 +25,20 @@ type namedCheck struct {
 	Err  error
 }
 
-// checkWorkload runs the full invariant suite for one workload, reusing
-// the suite's singleflight cells so `spexp -check` shares every artifact
-// (profile, marker sets, traced runs, clusterings) with the figures, and
-// a combined run computes nothing twice. A returned error means an
-// artifact could not be computed at all; invariant violations come back
-// in the slice.
-func (s *Suite) checkWorkload(w *workloads.Workload) ([]namedCheck, error) {
-	d, err := s.wd(w)
+// checkWorkload runs the full invariant suite for one workload on the
+// suite's artifacts, so `spexp -check` shares every artifact (profile,
+// marker sets, traced runs, clusterings) with the figures, and a
+// combined run computes nothing twice. Its span is a child of ctx's. A
+// returned error means an artifact could not be computed at all;
+// invariant violations come back in the slice.
+func (s *Suite) checkWorkload(ctx context.Context, w *workloads.Workload) ([]namedCheck, error) {
+	sp := obs.SpanFromContext(ctx).Child("check.workload", w.Name)
+	defer sp.End()
+	ctx = obs.ContextWithSpan(ctx, sp)
+	prog, err := s.pl.Program(ctx, w.Name)
 	if err != nil {
 		return nil, err
 	}
-	sp := obs.StartSpan("check.workload", w.Name)
-	defer sp.End()
 
 	var out []namedCheck
 	add := func(name string, err error) {
@@ -48,54 +48,59 @@ func (s *Suite) checkWorkload(w *workloads.Workload) ([]namedCheck, error) {
 	// (a) Segmentation invariants: intervals tile [0, Instructions) with
 	// per-interval BBV mass equal to interval length — for the fixed-length
 	// baseline and for both marker-cut (VLI) modes the figures measure.
-	resFixed, err := d.traced(fixedMode(FixedLen))
+	resFixed, err := s.traced(ctx, w, fixedMode(FixedLen))
 	if err != nil {
 		return nil, err
 	}
 	add("seg/fixed", check.Segmentation(resFixed, -1))
 	var resLimit *trace.Result
-	var setLimit *core.MarkerSet
 	for _, mode := range []string{"no-limit cross", "limit 100k-2m"} {
-		set, err := d.markerSet(mode)
+		set, err := s.markers(ctx, w, mode)
 		if err != nil {
 			return nil, err
 		}
-		res, err := d.traced(mode)
+		res, err := s.traced(ctx, w, mode)
 		if err != nil {
 			return nil, err
 		}
 		add("seg/vli["+mode+"]", check.Segmentation(res, len(set.Markers)))
 		if mode == "limit 100k-2m" {
-			resLimit, setLimit = res, set
+			resLimit = res
 		}
 	}
 
 	// (e) Streaming and (g) pipeline-parallel equivalence: the chunked,
 	// arena-recycling emission mode must reproduce the materialized
-	// traces above bit-for-bit — intervals, totals, the online
-	// projection, streamed clustering and CoV — in both cutting modes, on
-	// the serial path (stream/*) and on the record/replay split at
-	// workers 2 (stream-par/*; every count from 2 up takes that one
-	// path). The cached materialized results serve as the reference, so
-	// this re-runs only the streaming side.
-	base := trace.Config{Prog: d.prog, Args: d.w.Ref, CPU: uarch.DefaultConfig()}
-	cfgF := base
-	cfgF.FixedLen = FixedLen
-	cfgV := base
-	cfgV.Markers = setLimit
-	add("stream/fixed", check.Streaming(cfgF, resFixed, 1))
-	add("stream/vli", check.Streaming(cfgV, resLimit, 1))
-	add("stream-par/fixed", check.Streaming(cfgF, resFixed, 2))
-	add("stream-par/vli", check.Streaming(cfgV, resLimit, 2))
+	// traces above bit-for-bit — intervals, totals, streamed clustering
+	// and CoV — in both cutting modes, on the serial path (stream/*) and
+	// on the record/replay split at workers 2 (stream-par/*; every count
+	// from 2 up takes that one path). The cached materialized results
+	// serve as the reference, and their own configurations drive the
+	// streamed runs, so this re-runs only the streaming side.
+	for _, m := range []struct {
+		name, mode string
+		want       *trace.Result
+	}{{"fixed", fixedMode(FixedLen), resFixed}, {"vli", "limit 100k-2m", resLimit}} {
+		seg, err := segment(w, m.mode)
+		if err != nil {
+			return nil, err
+		}
+		cfg, err := s.pl.Config(ctx, seg)
+		if err != nil {
+			return nil, err
+		}
+		add("stream/"+m.name, check.Streaming(cfg, m.want, 1))
+		add("stream-par/"+m.name, check.Streaming(cfg, m.want, 2))
+	}
 
 	// (d) Clustering invariants over the clusterings Figures 7–9 and 11–12
 	// are built from (same cache keys: same kmax and seeds).
-	clF, resF, err := d.clustered(fixedMode(FixedLen), 10, 0xb5e)
+	clF, resF, err := s.clustered(ctx, w, fixedMode(FixedLen), 10, 0xb5e)
 	if err != nil {
 		return nil, err
 	}
 	add("cluster/fixed", check.Clustering(clF, len(resF.Intervals)))
-	clV, resV, err := d.clustered("limit 100k-2m", 30, 0x1112)
+	clV, resV, err := s.clustered(ctx, w, "limit 100k-2m", 30, 0x1112)
 	if err != nil {
 		return nil, err
 	}
@@ -104,12 +109,12 @@ func (s *Suite) checkWorkload(w *workloads.Workload) ([]namedCheck, error) {
 	// (b) Differential backend oracle and (c) detector/instrumentation
 	// equivalence, both on the marker set the §6.2.1 study selects on the
 	// -O0 binary.
-	set, err := d.markerSet("no-limit cross")
+	set, err := s.markers(ctx, w, "no-limit cross")
 	if err != nil {
 		return nil, err
 	}
-	add("instrument", check.DetectorInstrument(d.prog, set, w.Ref...))
-	add("crossbin", check.CrossBinary(w.Source, d.prog, set, w.Ref...))
+	add("instrument", check.DetectorInstrument(prog, set, w.Ref...))
+	add("crossbin", check.CrossBinary(w.Source, prog, set, w.Ref...))
 
 	// (f) Placement invariants: the minimized marker placement must fire as
 	// the exact restriction of the full set (check.Placement, with the
@@ -117,16 +122,16 @@ func (s *Suite) checkWorkload(w *workloads.Workload) ([]namedCheck, error) {
 	// minimized cut sequence must still segment execution per the tiling
 	// invariant — in both cutting modes.
 	for _, mm := range minimizedModes {
-		full, err := d.markerSet(mm.Full)
+		full, err := s.markers(ctx, w, mm.Full)
 		if err != nil {
 			return nil, err
 		}
-		min, err := d.markerSet(mm.Min)
+		min, err := s.markers(ctx, w, mm.Min)
 		if err != nil {
 			return nil, err
 		}
-		add("placement/"+mm.Full, check.Placement(d.prog, full, min, mm.IUpper, w.Ref...))
-		res, err := d.traced(mm.Min)
+		add("placement/"+mm.Full, check.Placement(prog, full, min, mm.IUpper, w.Ref...))
+		res, err := s.traced(ctx, w, mm.Min)
 		if err != nil {
 			return nil, err
 		}
@@ -141,11 +146,12 @@ func (s *Suite) checkWorkload(w *workloads.Workload) ([]namedCheck, error) {
 // build), making `spexp -check` a usable CI gate: the differential
 // backend oracle, segmentation tiling, clustering sanity, and
 // detector/instrumentation equivalence all hold, or the run fails.
-func (s *Suite) RunChecks(w io.Writer) error {
+// Each workload's span is a child of ctx's.
+func (s *Suite) RunChecks(ctx context.Context, w io.Writer) error {
 	ws := workloads.All()
 	rows := make([][]namedCheck, len(ws))
 	err := s.ForEachWorkload(ws, func(i int, wl *workloads.Workload) error {
-		cs, err := s.checkWorkload(wl)
+		cs, err := s.checkWorkload(ctx, wl)
 		if err != nil {
 			return fmt.Errorf("%s: %w", wl.Name, err)
 		}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -45,21 +47,18 @@ func TestSegmentationTilesEveryFigurePath(t *testing.T) {
 	if raceEnabled {
 		t.Skip("too slow under -race; TestCheckWorkloadSmoke covers the harness")
 	}
-	s := NewSuite()
+	s := NewSuite(runtime.GOMAXPROCS(0))
+	ctx := context.Background()
 	modes := figureTraceModes()
 	err := s.ForEachWorkload(workloads.All(), func(i int, w *workloads.Workload) error {
-		d, err := s.wd(w)
-		if err != nil {
-			return err
-		}
 		for _, m := range modes {
-			res, err := d.traced(m.mode)
+			res, err := s.traced(ctx, w, m.mode)
 			if err != nil {
 				return err
 			}
 			num := -1
 			if m.markers {
-				set, err := d.markerSet(m.mode)
+				set, err := s.markers(ctx, w, m.mode)
 				if err != nil {
 					return err
 				}
@@ -80,7 +79,7 @@ func TestSegmentationTilesEveryFigurePath(t *testing.T) {
 // quick enough for every test run (including -race, which is the point:
 // the harness shares the suite's concurrent caches).
 func TestCheckWorkloadSmoke(t *testing.T) {
-	s := NewSuite()
+	s := NewSuite(runtime.GOMAXPROCS(0))
 	ws := workloads.All()
 	w := ws[0]
 	for _, c := range ws {
@@ -88,7 +87,7 @@ func TestCheckWorkloadSmoke(t *testing.T) {
 			w = c
 		}
 	}
-	cs, err := s.checkWorkload(w)
+	cs, err := s.checkWorkload(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,9 +111,9 @@ func TestRunChecksReportFormat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("too slow under -race; TestCheckWorkloadSmoke covers the harness")
 	}
-	s := NewSuite()
+	s := NewSuite(runtime.GOMAXPROCS(0))
 	var buf bytes.Buffer
-	if err := s.RunChecks(&buf); err != nil {
+	if err := s.RunChecks(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -19,7 +20,7 @@ import (
 // for the markers to define cross-binary simulation points. A build
 // matches (YES) when it also agrees with -O0 on output and return value;
 // its match is "-" when some marker did not map.
-func (s *Suite) CrossBinary() (*Table, error) {
+func (s *Suite) CrossBinary(ctx context.Context) (*Table, error) {
 	t := &Table{
 		Title: "§6.2.1: cross-binary phase-marker traces (-O0 vs optimized vs stack ISA)",
 		Note:  "identical traces mean simulation points can be reused across compilations and ISAs",
@@ -29,15 +30,15 @@ func (s *Suite) CrossBinary() (*Table, error) {
 	ws := workloads.All()
 	rows := make([][]string, len(ws))
 	err := s.ForEachWorkload(ws, func(i int, w *workloads.Workload) error {
-		d, err := s.wd(w)
+		prog, err := s.pl.Program(ctx, w.Name)
 		if err != nil {
 			return err
 		}
-		set, err := d.markerSet("no-limit cross")
+		set, err := s.markers(ctx, w, "no-limit cross")
 		if err != nil {
 			return err
 		}
-		c, err := crossbin.Compare(w.Source, d.prog, set, w.Ref...)
+		c, err := crossbin.Compare(w.Source, prog, set, w.Ref...)
 		if err != nil {
 			return err
 		}
@@ -72,7 +73,7 @@ func (s *Suite) CrossBinary() (*Table, error) {
 // inference over the program's dynamic basic-block trace, capped at
 // seqCap events (the real traces are orders of magnitude longer, so the
 // Sequitur column is a generous lower bound).
-func (s *Suite) SelectionSpeed() (*Table, error) {
+func (s *Suite) SelectionSpeed(ctx context.Context) (*Table, error) {
 	const seqCap = 300_000
 	t := &Table{
 		Title: "§5.1: analysis cost — call-loop selection vs Sequitur-on-trace",
@@ -82,11 +83,11 @@ func (s *Suite) SelectionSpeed() (*Table, error) {
 	ws := workloads.All()
 	rows := make([][]string, len(ws))
 	err := s.ForEachWorkload(ws, func(i int, w *workloads.Workload) error {
-		d, err := s.wd(w)
+		prog, err := s.pl.Program(ctx, w.Name)
 		if err != nil {
 			return err
 		}
-		g, err := d.graph(true)
+		g, err := s.pl.Graph(ctx, w.Name, true)
 		if err != nil {
 			return err
 		}
@@ -96,8 +97,8 @@ func (s *Suite) SelectionSpeed() (*Table, error) {
 
 		// Collect a capped dynamic block trace of the train input.
 		tr := &traceCap{cap: seqCap}
-		m := minivm.NewMachine(d.prog, tr)
-		if _, err := m.Run(d.w.Train...); err != nil {
+		m := minivm.NewMachine(prog, tr)
+		if _, err := m.Run(w.Train...); err != nil {
 			return err
 		}
 		start = time.Now()

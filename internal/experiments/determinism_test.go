@@ -1,12 +1,16 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"phasemark/internal/core"
+	"phasemark/internal/simpoint"
 	"phasemark/internal/trace"
 	"phasemark/internal/workloads"
 )
@@ -23,9 +27,7 @@ func TestFig7DeterministicAcrossParallelism(t *testing.T) {
 		t.Skip("too slow under -race; TestConcurrentSuiteSharedArtifacts covers the engine")
 	}
 	render := func(jobs int) string {
-		s := NewSuite()
-		s.SetParallelism(jobs)
-		tab, err := s.Fig7()
+		tab, err := NewSuite(jobs).Fig7(context.Background())
 		if err != nil {
 			t.Fatalf("-j %d: %v", jobs, err)
 		}
@@ -38,13 +40,14 @@ func TestFig7DeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestConcurrentSuiteSharedArtifacts hammers one workload's artifact cells
+// TestConcurrentSuiteSharedArtifacts hammers one workload's artifacts
 // from many goroutines — including three marker configs that select on the
 // SAME shared ref graph — and checks the singleflight guarantee: every
 // caller observes the identical artifact instance. This is the test the
 // race detector bites on, and it is cheap enough to run under -race.
 func TestConcurrentSuiteSharedArtifacts(t *testing.T) {
-	s := NewSuite()
+	s := NewSuite(runtime.GOMAXPROCS(0))
+	ctx := context.Background()
 	w, err := workloads.ByName("art")
 	if err != nil {
 		t.Fatal(err)
@@ -62,26 +65,22 @@ func TestConcurrentSuiteSharedArtifacts(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			d, err := s.wd(w)
-			if err != nil {
-				errs[i] = err
-				return
-			}
 			v := view{sets: map[string]*core.MarkerSet{}}
-			if v.graph, err = d.graph(true); err != nil {
+			var err error
+			if v.graph, err = s.pl.Graph(ctx, w.Name, true); err != nil {
 				errs[i] = err
 				return
 			}
 			// These three configs all select on the ref graph concurrently.
 			for _, name := range []string{"no-limit self", "procs no-limit self", "limit 100k-2m"} {
-				set, err := d.markerSet(name)
+				set, err := s.markers(ctx, w, name)
 				if err != nil {
 					errs[i] = err
 					return
 				}
 				v.sets[name] = set
 			}
-			if v.trace, err = d.traced(fixedMode(FixedLen)); err != nil {
+			if v.trace, err = s.traced(ctx, w, fixedMode(FixedLen)); err != nil {
 				errs[i] = err
 				return
 			}
@@ -112,14 +111,37 @@ func TestConcurrentSuiteSharedArtifacts(t *testing.T) {
 	}
 }
 
+// TestClusteringKeyIncludesSeed pins that a clustering is memoized per
+// seed: after one suite clusters bzip2's fixed 100k trace at kmax 10 with
+// Figure 7's seed (0xb5e), asking for Figures 11/12's seed (0x1112) must
+// classify that trace afresh, not hand back the first clustering.
+func TestClusteringKeyIncludesSeed(t *testing.T) {
+	s := NewSuite(runtime.GOMAXPROCS(0))
+	ctx := context.Background()
+	w, err := workloads.ByName("bzip2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.clustered(ctx, w, fixedMode(SPFixed10), 10, 0xb5e); err != nil {
+		t.Fatal(err)
+	}
+	got, res, err := s.clustered(ctx, w, fixedMode(SPFixed10), 10, 0x1112)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := simpoint.Classify(res, simpoint.Options{KMax: 10, Dims: 15, Seed: 0x1112, Restarts: 2, MaxIters: 40})
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("seed 0x1112 clustering: K %d assign %v, want K %d assign %v", got.K, got.Assign, want.K, want.Assign)
+	}
+}
+
 // TestForEachWorkloadOrderAndErrors pins the pool's contract: every index
 // is visited exactly once, and the reported error is the lowest-indexed
 // failure regardless of scheduling.
 func TestForEachWorkloadOrderAndErrors(t *testing.T) {
 	ws := workloads.All()
 	for _, jobs := range []int{1, 3, 16} {
-		s := NewSuite()
-		s.SetParallelism(jobs)
+		s := NewSuite(jobs)
 		visited := make([]int, len(ws))
 		var mu sync.Mutex
 		err := s.ForEachWorkload(ws, func(i int, w *workloads.Workload) error {

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -34,8 +36,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestFig3ShowsAlternatingPhases(t *testing.T) {
-	s := NewSuite()
-	tab, err := s.Fig3()
+	tab, err := NewSuite(runtime.GOMAXPROCS(0)).Fig3(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +134,7 @@ func TestTimeVaryingMatchesTrace(t *testing.T) {
 }
 
 func TestFig56VLIsBeatFixedIntervals(t *testing.T) {
-	s := NewSuite()
-	tab, err := s.Fig56()
+	tab, err := NewSuite(runtime.GOMAXPROCS(0)).Fig56(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +155,7 @@ func TestFig56VLIsBeatFixedIntervals(t *testing.T) {
 }
 
 func TestSelectionSpeedTableCoversAllWorkloads(t *testing.T) {
-	s := NewSuite()
-	tab, err := s.SelectionSpeed()
+	tab, err := NewSuite(runtime.GOMAXPROCS(0)).SelectionSpeed(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

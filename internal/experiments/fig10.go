@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"phasemark/internal/adapt"
@@ -25,19 +26,19 @@ func (e *fig10Eval) all() []adapt.PolicyResult {
 	return []adapt.PolicyResult{e.BBV, e.SPMSelf, e.ProcsX, e.ReuseDist, e.SPMCross, e.BestFixed}
 }
 
-func (s *Suite) fig10One(w *workloads.Workload) (*fig10Eval, error) {
-	d, err := s.wd(w)
+func (s *Suite) fig10One(ctx context.Context, w *workloads.Workload) (*fig10Eval, error) {
+	prog, err := s.pl.Program(ctx, w.Name)
 	if err != nil {
 		return nil, err
 	}
 	ev := &fig10Eval{Name: w.Name}
 
 	runSPM := func(mode string) (adapt.PolicyResult, error) {
-		set, err := d.markerSet(mode)
+		set, err := s.markers(ctx, w, mode)
 		if err != nil {
 			return adapt.PolicyResult{}, err
 		}
-		res, err := adapt.Run(d.prog, w.Ref, adapt.Source{SPM: set})
+		res, err := adapt.Run(prog, w.Ref, adapt.Source{SPM: set})
 		if err != nil {
 			return adapt.PolicyResult{}, err
 		}
@@ -54,11 +55,11 @@ func (s *Suite) fig10One(w *workloads.Workload) (*fig10Eval, error) {
 	}
 
 	// Reuse-distance markers (trained on the train input, like the paper).
-	rmk, err := reuse.Select(d.prog, w.Train)
+	rmk, err := reuse.Select(prog, w.Train)
 	if err != nil {
 		return nil, err
 	}
-	resReuse, err := adapt.Run(d.prog, w.Ref, adapt.Source{Reuse: rmk})
+	resReuse, err := adapt.Run(prog, w.Ref, adapt.Source{Reuse: rmk})
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +67,7 @@ func (s *Suite) fig10One(w *workloads.Workload) (*fig10Eval, error) {
 
 	// Idealized SimPoint: fixed intervals, oracle next-interval phase IDs
 	// from offline clustering of the interval BBVs.
-	resFixed, err := adapt.Run(d.prog, w.Ref, adapt.Source{FixedLen: FixedLen})
+	resFixed, err := adapt.Run(prog, w.Ref, adapt.Source{FixedLen: FixedLen})
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +95,7 @@ func policyCell(p adapt.PolicyResult) string {
 // full 256 KB cache — software phase markers shrink the cache *without*
 // increasing misses, whereas out-of-sync fixed intervals buy their smaller
 // sizes with extra misses.
-func (s *Suite) Fig10() (*Table, error) {
+func (s *Suite) Fig10(ctx context.Context) (*Table, error) {
 	t := &Table{
 		Title: "Figure 10: average cache size KB (and miss-rate delta vs 256KB)",
 		Note:  "adaptive cache: 64B x 512 sets x 1-8 ways (32-256KB); explore 2 intervals per phase",
@@ -113,7 +114,7 @@ func (s *Suite) Fig10() (*Table, error) {
 	}
 	evs := make([]*fig10Eval, len(suite))
 	err := s.ForEachWorkload(suite, func(i int, w *workloads.Workload) error {
-		ev, err := s.fig10One(w)
+		ev, err := s.fig10One(ctx, w)
 		if err != nil {
 			return fmt.Errorf("fig10 %s: %w", w.Name, err)
 		}

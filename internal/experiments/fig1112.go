@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"phasemark/internal/simpoint"
 	"phasemark/internal/stats"
 	"phasemark/internal/workloads"
@@ -35,18 +37,14 @@ type spEval struct {
 	Res  map[string]simpoint.Estimate
 }
 
-func (s *Suite) spOne(w *workloads.Workload) (*spEval, error) {
-	d, err := s.wd(w)
-	if err != nil {
-		return nil, err
-	}
+func (s *Suite) spOne(ctx context.Context, w *workloads.Workload) (*spEval, error) {
 	ev := &spEval{Name: w.Name, Res: map[string]simpoint.Estimate{}}
 	for _, cfg := range spConfigs {
 		mode := "limit 100k-2m"
 		if cfg.Fixed > 0 {
 			mode = fixedMode(cfg.Fixed)
 		}
-		cl, res, err := d.clustered(mode, cfg.KMax, 0x1112)
+		cl, res, err := s.clustered(ctx, w, mode, cfg.KMax, 0x1112)
 		if err != nil {
 			return nil, err
 		}
@@ -59,11 +57,11 @@ func (s *Suite) spOne(w *workloads.Workload) (*spEval, error) {
 	return ev, nil
 }
 
-func (s *Suite) spAll() ([]*spEval, error) {
+func (s *Suite) spAll(ctx context.Context) ([]*spEval, error) {
 	ws := workloads.Suite79()
 	out := make([]*spEval, len(ws))
 	err := s.ForEachWorkload(ws, func(i int, w *workloads.Workload) error {
-		ev, err := s.spOne(w)
+		ev, err := s.spOne(ctx, w)
 		if err != nil {
 			return err
 		}
@@ -78,8 +76,8 @@ func (s *Suite) spAll() ([]*spEval, error) {
 
 // Fig11 reports the detailed-simulation cost (instructions in the chosen
 // simulation points) per configuration (paper Figure 11).
-func (s *Suite) Fig11() (*Table, error) {
-	evs, err := s.spAll()
+func (s *Suite) Fig11(ctx context.Context) (*Table, error) {
+	evs, err := s.spAll(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -108,8 +106,8 @@ func (s *Suite) Fig11() (*Table, error) {
 
 // Fig12 reports the estimated-CPI relative error per configuration (paper
 // Figure 12).
-func (s *Suite) Fig12() (*Table, error) {
-	evs, err := s.spAll()
+func (s *Suite) Fig12(ctx context.Context) (*Table, error) {
+	evs, err := s.spAll(ctx)
 	if err != nil {
 		return nil, err
 	}

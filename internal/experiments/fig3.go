@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"phasemark/internal/compile"
@@ -78,20 +79,20 @@ func tvTable(title, note string, pts []tvPoint) *Table {
 
 // Fig3 reproduces the gzip time-varying graph: CPI and DL1 miss rate over
 // time with phase-marker firings overlaid (paper Figure 3).
-func (s *Suite) Fig3() (*Table, error) {
+func (s *Suite) Fig3(ctx context.Context) (*Table, error) {
 	w, err := workloads.ByName("gzip")
 	if err != nil {
 		return nil, err
 	}
-	d, err := s.wd(w)
+	prog, err := s.pl.Program(ctx, w.Name)
 	if err != nil {
 		return nil, err
 	}
-	set, err := d.markerSet("no-limit self")
+	set, err := s.markers(ctx, w, "no-limit self")
 	if err != nil {
 		return nil, err
 	}
-	pts, err := timeVarying(d.prog, w.Ref, set, 20_000, d.workers)
+	pts, err := timeVarying(prog, w.Ref, set, 20_000, s.pl.Workers())
 	if err != nil {
 		return nil, err
 	}
@@ -107,16 +108,16 @@ func (s *Suite) Fig3() (*Table, error) {
 // with a different dynamic instruction mix, standing in for the paper's
 // Alpha→x86 mapping — and still detect the same high-level phase pattern
 // (paper Figure 4; "no call-loop graph was created for the x86 binary").
-func (s *Suite) Fig4() (*Table, error) {
+func (s *Suite) Fig4(ctx context.Context) (*Table, error) {
 	w, err := workloads.ByName("gzip")
 	if err != nil {
 		return nil, err
 	}
-	d, err := s.wd(w)
+	prog, err := s.pl.Program(ctx, w.Name)
 	if err != nil {
 		return nil, err
 	}
-	set, err := d.markerSet("no-limit self")
+	set, err := s.markers(ctx, w, "no-limit self")
 	if err != nil {
 		return nil, err
 	}
@@ -124,8 +125,8 @@ func (s *Suite) Fig4() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapped, rep := crossbin.MapMarkers(set, d.prog, stackBin)
-	pts, err := timeVarying(stackBin, w.Ref, mapped, 60_000, d.workers)
+	mapped, rep := crossbin.MapMarkers(set, prog, stackBin)
+	pts, err := timeVarying(stackBin, w.Ref, mapped, 60_000, s.pl.Workers())
 	if err != nil {
 		return nil, err
 	}

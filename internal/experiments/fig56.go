@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 
 	"phasemark/internal/bbv"
@@ -23,20 +24,16 @@ import (
 // its BBV is far from every signature. Fixed-length slicing produces such
 // blends at phase changes; marker-synchronized slicing encapsulates each
 // transition in its own interval.
-func (s *Suite) Fig56() (*Table, error) {
+func (s *Suite) Fig56(ctx context.Context) (*Table, error) {
 	w, err := workloads.ByName("bzip2")
 	if err != nil {
 		return nil, err
 	}
-	d, err := s.wd(w)
+	resFixed, err := s.traced(ctx, w, fixedMode(FixedLen))
 	if err != nil {
 		return nil, err
 	}
-	resFixed, err := d.traced(fixedMode(FixedLen))
-	if err != nil {
-		return nil, err
-	}
-	resVLI, err := d.traced("no-limit self")
+	resVLI, err := s.traced(ctx, w, "no-limit self")
 	if err != nil {
 		return nil, err
 	}

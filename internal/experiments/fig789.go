@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"phasemark/internal/trace"
 	"phasemark/internal/workloads"
 )
@@ -22,17 +24,13 @@ type workloadEval struct {
 	WholeFixed float64 // whole-program CoV, 100k fixed intervals
 }
 
-func (s *Suite) evalWorkload(w *workloads.Workload) (*workloadEval, error) {
-	d, err := s.wd(w)
-	if err != nil {
-		return nil, err
-	}
+func (s *Suite) evalWorkload(ctx context.Context, w *workloads.Workload) (*workloadEval, error) {
 	ev := &workloadEval{Name: w.Name, Markers: map[string]approachEval{}}
 
 	// BBV baseline: fixed intervals classified by SimPoint; phase IDs are
 	// cluster assignments (an offline, input-specific classification — the
 	// paper calls this comparison idealized).
-	cl, resFixed, err := d.clustered(fixedMode(FixedLen), 10, 0xb5e)
+	cl, resFixed, err := s.clustered(ctx, w, fixedMode(FixedLen), 10, 0xb5e)
 	if err != nil {
 		return nil, err
 	}
@@ -47,14 +45,14 @@ func (s *Suite) evalWorkload(w *workloads.Workload) (*workloadEval, error) {
 	}
 	ev.WholeFixed = trace.WholeProgramCoV(resFixed.Intervals, trace.CPIMetric)
 
-	resTiny, err := d.traced(fixedMode(TinyFixed))
+	resTiny, err := s.traced(ctx, w, fixedMode(TinyFixed))
 	if err != nil {
 		return nil, err
 	}
 	ev.WholeTiny = trace.WholeProgramCoV(resTiny.Intervals, trace.CPIMetric)
 
 	for _, mc := range markerConfigs {
-		res, err := d.traced(mc.Name)
+		res, err := s.traced(ctx, w, mc.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -79,11 +77,11 @@ var approachOrder = []string{
 // Fig789 computes the shared evaluation for the eleven-program suite,
 // profiling and tracing the workloads in parallel; the returned slice is
 // in suite order regardless of the parallelism level.
-func (s *Suite) Fig789() ([]*workloadEval, error) {
+func (s *Suite) Fig789(ctx context.Context) ([]*workloadEval, error) {
 	ws := workloads.Suite79()
 	out := make([]*workloadEval, len(ws))
 	err := s.ForEachWorkload(ws, func(i int, w *workloads.Workload) error {
-		ev, err := s.evalWorkload(w)
+		ev, err := s.evalWorkload(ctx, w)
 		if err != nil {
 			return err
 		}
@@ -98,8 +96,8 @@ func (s *Suite) Fig789() ([]*workloadEval, error) {
 
 // Fig7 reports average instructions per interval per approach (paper
 // Figure 7; BBV uses fixed 100k-instruction intervals).
-func (s *Suite) Fig7() (*Table, error) {
-	evs, err := s.Fig789()
+func (s *Suite) Fig7(ctx context.Context) (*Table, error) {
+	evs, err := s.Fig789(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +126,8 @@ func (s *Suite) Fig7() (*Table, error) {
 }
 
 // Fig8 reports the number of unique phase IDs per approach (paper Figure 8).
-func (s *Suite) Fig8() (*Table, error) {
-	evs, err := s.Fig789()
+func (s *Suite) Fig8(ctx context.Context) (*Table, error) {
+	evs, err := s.Fig789(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +156,8 @@ func (s *Suite) Fig8() (*Table, error) {
 
 // Fig9 reports the weighted per-phase CoV of CPI per approach, plus the
 // whole-program variability baselines (paper Figure 9).
-func (s *Suite) Fig9() (*Table, error) {
-	evs, err := s.Fig789()
+func (s *Suite) Fig9(ctx context.Context) (*Table, error) {
+	evs, err := s.Fig789(ctx)
 	if err != nil {
 		return nil, err
 	}

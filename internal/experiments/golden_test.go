@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -29,9 +31,8 @@ func TestGoldenTables(t *testing.T) {
 	if raceEnabled {
 		t.Skip("too slow under -race; the concurrency tests cover the engine")
 	}
-	s := NewSuite()
 	var buf bytes.Buffer
-	if err := s.RenderAll(&buf); err != nil {
+	if err := NewSuite(runtime.GOMAXPROCS(0)).RenderAll(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if *update {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -77,7 +78,7 @@ func ivlStats(ivs []*trace.Interval) (avg float64, max uint64) {
 // selection profile, and the ref-run interval-length distribution, before
 // and after core.MinimizeMarkers — per minimized mode (filter with
 // SetPlacementModes / spexp -placement-modes).
-func (s *Suite) Placement() (*Table, error) {
+func (s *Suite) Placement(ctx context.Context) (*Table, error) {
 	var modes []int
 	for i, mm := range minimizedModes {
 		if s.placementModes == nil || s.placementModes[mm.Short] {
@@ -87,30 +88,26 @@ func (s *Suite) Placement() (*Table, error) {
 	ws := workloads.All()
 	evs := make([]map[string]placementEval, len(ws))
 	err := s.ForEachWorkload(ws, func(i int, w *workloads.Workload) error {
-		d, err := s.wd(w)
-		if err != nil {
-			return err
-		}
 		evs[i] = map[string]placementEval{}
 		for _, mi := range modes {
 			mm := minimizedModes[mi]
-			full, err := d.markerSet(mm.Full)
+			full, err := s.markers(ctx, w, mm.Full)
 			if err != nil {
 				return err
 			}
-			min, err := d.markerSet(mm.Min)
+			min, err := s.markers(ctx, w, mm.Min)
 			if err != nil {
 				return err
 			}
-			g, err := d.graph(mm.Ref)
+			g, err := s.pl.Graph(ctx, w.Name, mm.Ref)
 			if err != nil {
 				return err
 			}
-			resFull, err := d.traced(mm.Full)
+			resFull, err := s.traced(ctx, w, mm.Full)
 			if err != nil {
 				return err
 			}
-			resMin, err := d.traced(mm.Min)
+			resMin, err := s.traced(ctx, w, mm.Min)
 			if err != nil {
 				return err
 			}

@@ -28,7 +28,7 @@ var poolObs = &par.Obs{
 }
 
 // ForEachWorkload evaluates fn for every workload of ws on up to
-// Parallelism() workers (par.ForEach does the scheduling). fn receives
+// the suite's jobs workers (par.ForEach does the scheduling). fn receives
 // the workload's index in ws so callers can write results into an
 // index-addressed slice and assemble table rows in the original
 // (deterministic) order afterwards.
@@ -37,7 +37,7 @@ var poolObs = &par.Obs{
 // one from the lowest-indexed failing workload, so the outcome does not
 // depend on goroutine scheduling.
 func (s *Suite) ForEachWorkload(ws []*workloads.Workload, fn func(i int, w *workloads.Workload) error) error {
-	jobs := s.Parallelism()
+	jobs := s.jobs
 	if jobs > len(ws) {
 		jobs = len(ws)
 	}

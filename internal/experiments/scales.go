@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"phasemark/internal/core"
@@ -18,7 +19,7 @@ var scaleSweep = []uint64{10_000, 30_000, 100_000, 300_000, 1_000_000}
 
 // Scales reports, for each program and granularity, the achieved average
 // interval length (instructions) and the number of markers selected.
-func (s *Suite) Scales() (*Table, error) {
+func (s *Suite) Scales(ctx context.Context) (*Table, error) {
 	t := &Table{
 		Title: "§5.1: multi-scale marker selection (one call-loop graph, several ilower granularities)",
 		Note:  "cells show achieved average interval length / markers selected on the ref input",
@@ -30,11 +31,11 @@ func (s *Suite) Scales() (*Table, error) {
 	ws := workloads.Suite79()
 	rows := make([][]string, len(ws))
 	err := s.ForEachWorkload(ws, func(i int, w *workloads.Workload) error {
-		d, err := s.wd(w)
+		prog, err := s.pl.Program(ctx, w.Name)
 		if err != nil {
 			return err
 		}
-		g, err := d.graph(true)
+		g, err := s.pl.Graph(ctx, w.Name, true)
 		if err != nil {
 			return err
 		}
@@ -46,12 +47,12 @@ func (s *Suite) Scales() (*Table, error) {
 				continue
 			}
 			res, err := trace.Run(trace.Config{
-				Prog:    d.prog,
+				Prog:    prog,
 				Args:    w.Ref,
 				CPU:     uarch.DefaultConfig(),
 				Markers: set,
 				SkipBBV: true,
-				Workers: d.workers,
+				Workers: s.pl.Workers(),
 			})
 			if err != nil {
 				return err

@@ -1,111 +1,61 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 
+	"phasemark/internal/artifact"
 	"phasemark/internal/core"
-	"phasemark/internal/minivm"
-	"phasemark/internal/obs"
 	"phasemark/internal/par"
 	"phasemark/internal/simpoint"
+	"phasemark/internal/store"
 	"phasemark/internal/trace"
-	"phasemark/internal/uarch"
 	"phasemark/internal/workloads"
 )
 
-// Suite memoizes the expensive shared artifacts (profiles, marker sets,
-// traced executions, clusterings) across figures so `spexp -fig all` and
-// the benchmark suite don't recompute them per figure.
+// Suite shares the expensive artifacts (profiles, marker sets, traced
+// executions, clusterings) across figures so `spexp -fig all` and the
+// benchmark suite don't recompute them per figure.
 //
-// Every artifact is a singleflight cell (see cell.go): concurrent
-// requesters of the same artifact block on its one computation, while
-// unrelated artifacts compute in parallel. The multi-workload figure
-// harnesses fan workloads out over ForEachWorkload and assemble their
-// table rows in deterministic workload order, so the rendered tables are
-// byte-identical at any parallelism level.
+// Programs, graphs, marker sets and traces come from one
+// artifact.Pipeline; the suite memoizes only its clusterings. The
+// multi-workload figure harnesses fan workloads out over
+// ForEachWorkload and assemble their table rows in deterministic
+// workload order, so the rendered tables are byte-identical at any
+// parallelism level.
 type Suite struct {
+	// jobs bounds the workloads the figure harnesses evaluate at once.
 	jobs int
-	data cellMap[string, *wdata]
+	// pl runs each profile and trace at its share of the machine among
+	// the jobs workloads evaluated at once (par.Share), so the pool's
+	// default width traces and profiles serially and -j 1 runs the
+	// pipeline-parallel engine and the record/replay split.
+	pl       *artifact.Pipeline
+	clusters store.Memo[clusterKey, *simpoint.Clustering]
 
 	// placementModes filters the Placement table's minimized-mode columns
 	// (nil = all; see SetPlacementModes).
 	placementModes map[string]bool
 }
 
-// NewSuite builds an empty suite cache with parallelism GOMAXPROCS.
-func NewSuite() *Suite {
-	return &Suite{jobs: runtime.GOMAXPROCS(0)}
+// clusterKey names a clustering: the segment it classifies and the
+// options (seed included) it classifies with.
+type clusterKey struct {
+	seg  artifact.Segment
+	opts simpoint.Options
 }
 
-// SetParallelism bounds the number of workloads evaluated concurrently by
-// the figure harnesses (values below 1 mean 1). Call it before running
-// figures; it is not synchronized against in-flight fan-outs.
-func (s *Suite) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
+// spanClassify is the span of a clustering access, tagged like the
+// artifact layer's spans with its cache outcome.
+const spanClassify = "pipeline.classify"
+
+// NewSuite builds an empty suite that evaluates up to jobs workloads at
+// once (values below 1 mean 1).
+func NewSuite(jobs int) *Suite {
+	if jobs < 1 {
+		jobs = 1
 	}
-	s.jobs = n
-}
-
-// Parallelism reports the current workload-level parallelism bound.
-func (s *Suite) Parallelism() int {
-	if s.jobs < 1 {
-		return 1
-	}
-	return s.jobs
-}
-
-// wdata is the lazily computed per-workload state. The compiled program is
-// immutable and shared; each artifact class below is a keyed set of
-// singleflight cells.
-type wdata struct {
-	w    *workloads.Workload
-	prog *minivm.Program
-	// workers is the goroutine budget of each of the workload's
-	// interpreter runs (a trace's Config.Workers, a profile's
-	// ProfileRunWorkers count): its share of the machine among the
-	// Parallelism() workloads evaluated at once (par.Share), so the
-	// pool's default width traces and profiles serially and -j 1 runs
-	// the pipeline-parallel engine and the record/replay split.
-	workers int
-
-	graphs   cellMap[bool, *core.Graph] // keyed by isRef
-	sets     cellMap[string, *core.MarkerSet]
-	traces   cellMap[string, *trace.Result]
-	clusters cellMap[string, *simpoint.Clustering]
-}
-
-// The suite-level spans below time the actual artifact computations (cell
-// misses) with the workload name as the span argument; cache hits and
-// joins cost no span. Finer-grained spans inside core / trace / simpoint
-// ("core.select.pass1", "trace.exec", ...) time the algorithm internals.
-func (s *Suite) wd(w *workloads.Workload) (*wdata, error) {
-	return s.data.get(w.Name, func() (*wdata, error) {
-		sp := obs.StartSpan("workload.compile", w.Name)
-		defer sp.End()
-		prog, err := w.Compile(false)
-		if err != nil {
-			return nil, err
-		}
-		return &wdata{w: w, prog: prog, workers: par.Share(s.Parallelism())}, nil
-	})
-}
-
-func (d *wdata) graph(ref bool) (*core.Graph, error) {
-	return d.graphs.get(ref, func() (*core.Graph, error) {
-		sp := obs.StartSpan("graph.build", d.w.Name)
-		defer sp.End()
-		args := d.w.Train
-		if ref {
-			args = d.w.Ref
-		}
-		g, err := core.ProfileRunWorkers(d.prog, d.workers, args...)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", d.w.Name, err)
-		}
-		return g, nil
-	})
+	return &Suite{jobs: jobs, pl: artifact.New(par.Share(jobs))}
 }
 
 // markerConfigs are the five marker-selection approaches of Figures 7–9.
@@ -142,70 +92,62 @@ var minimizedModes = []struct {
 	{"limit", "limit 100k-2m", "min limit 100k-2m", true, LimitMax},
 }
 
-func (d *wdata) markerSet(name string) (*core.MarkerSet, error) {
+// selection maps a marker config of w onto the marker set it names.
+func selection(w *workloads.Workload, config string) (artifact.Select, error) {
 	for _, mc := range markerConfigs {
-		if mc.Name != name {
-			continue
+		if mc.Name == config {
+			return artifact.Select{Workload: w.Name, Ref: mc.Ref, Opts: mc.Opts}, nil
 		}
-		mc := mc
-		return d.sets.get(name, func() (*core.MarkerSet, error) {
-			g, err := d.graph(mc.Ref)
-			if err != nil {
-				return nil, err
-			}
-			sp := obs.StartSpan("select.markers", d.w.Name+"/"+name)
-			defer sp.End()
-			return core.SelectMarkers(g, mc.Opts), nil
-		})
 	}
-	return nil, fmt.Errorf("unknown marker config %q", name)
+	return artifact.Select{}, fmt.Errorf("unknown marker config %q", config)
 }
 
-// traced runs the ref input segmented by the named mode: "fixed:<n>" cuts
-// every n instructions, a marker-config name cuts at that set's firings.
-// Every mode collects BBVs: no mode sets SkipBBV.
-func (d *wdata) traced(mode string) (*trace.Result, error) {
-	return d.traces.get(mode, func() (*trace.Result, error) {
-		cfg := trace.Config{
-			Prog:    d.prog,
-			Args:    d.w.Ref,
-			CPU:     uarch.DefaultConfig(),
-			Workers: d.workers,
-		}
-		var n uint64
-		if _, err := fmt.Sscanf(mode, "fixed:%d", &n); err == nil {
-			cfg.FixedLen = n
-		} else {
-			set, err := d.markerSet(mode)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Markers = set
-		}
-		// The span starts after the marker-set dependency resolves, so
-		// "trace.run" times only the traced execution itself.
-		sp := obs.StartSpan("trace.run", d.w.Name+"/"+mode)
-		defer sp.End()
-		r, err := trace.Run(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", d.w.Name, mode, err)
-		}
-		return r, nil
-	})
+// segment maps a trace mode of w onto the ref run it names:
+// "fixed:<n>" cuts every n instructions, a marker-config name cuts at
+// that set's firings.
+func segment(w *workloads.Workload, mode string) (artifact.Segment, error) {
+	var n uint64
+	if _, err := fmt.Sscanf(mode, "fixed:%d", &n); err == nil {
+		return artifact.Segment{Workload: w.Name, FixedLen: n}, nil
+	}
+	sel, err := selection(w, mode)
+	return artifact.Segment{Workload: w.Name, Select: sel}, err
+}
+
+// markers returns w's marker set for the named config.
+func (s *Suite) markers(ctx context.Context, w *workloads.Workload, config string) (*core.MarkerSet, error) {
+	sel, err := selection(w, config)
+	if err != nil {
+		return nil, err
+	}
+	return s.pl.Markers(ctx, sel)
+}
+
+// traced returns w's ref run segmented by the named mode. Every mode
+// collects BBVs: no mode sets SkipBBV.
+func (s *Suite) traced(ctx context.Context, w *workloads.Workload, mode string) (*trace.Result, error) {
+	seg, err := segment(w, mode)
+	if err != nil {
+		return nil, err
+	}
+	return s.pl.Trace(ctx, seg)
 }
 
 // clustered runs SimPoint classification over a traced mode's intervals.
-func (d *wdata) clustered(mode string, kmax int, seed uint64) (*simpoint.Clustering, *trace.Result, error) {
-	res, err := d.traced(mode)
+func (s *Suite) clustered(ctx context.Context, w *workloads.Workload, mode string, kmax int, seed uint64) (*simpoint.Clustering, *trace.Result, error) {
+	seg, err := segment(w, mode)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := fmt.Sprintf("%s/k%d", mode, kmax)
-	c, err := d.clusters.get(key, func() (*simpoint.Clustering, error) {
-		sp := obs.StartSpan("simpoint.classify", d.w.Name+"/"+key)
-		defer sp.End()
-		return simpoint.Classify(res, simpoint.Options{KMax: kmax, Dims: 15, Seed: seed, Restarts: 2, MaxIters: 40}), nil
-	})
+	res, err := s.pl.Trace(ctx, seg)
+	if err != nil {
+		return nil, nil, err
+	}
+	opts := simpoint.Options{KMax: kmax, Dims: 15, Seed: seed, Restarts: 2, MaxIters: 40}
+	c, err := artifact.Do(ctx, &s.clusters, spanClassify, w.Name, clusterKey{seg, opts},
+		func(context.Context) (*simpoint.Clustering, error) {
+			return simpoint.Classify(res, opts), nil
+		})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -10,16 +10,16 @@
 // # Memoization re-entrancy contract
 //
 // Expensive artifacts (compiled programs, profiled graphs, marker sets,
-// traces) are memoized in singleflight cells (cell.go, on store.Memo,
-// which the phased service uses too): the first caller computes,
-// concurrent callers block on that flight and share its outcome,
-// successful values are cached forever, and errors are never cached. No
-// lock is held while a compute function runs, so a compute MAY call get
-// on other keys — the figure harnesses chain graph → marker set → trace
-// → clustering this way. A compute MUST NOT re-enter the key it is
-// computing: that deadlocks, exactly like a recursive sync.Once.Do. Keep
-// compute dependency chains acyclic in one direction — earlier pipeline
-// stages never call later ones.
+// traces) come from internal/artifact, and the suite memoizes its
+// clusterings through the same artifact.Do over store.Memo: the first
+// caller computes, concurrent callers block on that flight and share its
+// outcome, successful values are cached forever, and errors are never
+// cached. No lock is held while a compute function runs, so a compute MAY
+// ask for other keys — a trace asks for its marker set, which asks for
+// its graph. A compute MUST NOT re-enter the key it is computing: that
+// deadlocks, exactly like a recursive sync.Once.Do. Keep compute
+// dependency chains acyclic in one direction — earlier pipeline stages
+// never call later ones.
 package experiments
 
 import (

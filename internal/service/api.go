@@ -9,9 +9,10 @@
 // internal/store artifact store: identical requests — concurrent, repeated,
 // or issued to a later process over the same store directory — compute
 // exactly once. In-process, expensive intermediate artifacts (compiled
-// programs, profiled graphs, marker sets, traced executions) are memoized
-// with the same singleflight discipline (store.Memo), so e.g. a thousand
-// cluster requests differing only in seed share one traced execution.
+// programs, profiled graphs, marker sets, traced executions) come from
+// internal/artifact, which memoizes them with the same singleflight
+// discipline (store.Memo), so e.g. a thousand cluster requests differing
+// only in seed share one traced execution.
 //
 // Admission control bounds concurrent work: requests past the executing
 // and queued limits are rejected with 429 + Retry-After instead of piling

@@ -2,29 +2,21 @@ package service
 
 import (
 	"context"
-	"fmt"
 
+	"phasemark/internal/artifact"
 	"phasemark/internal/core"
-	"phasemark/internal/minivm"
 	"phasemark/internal/obs"
 	"phasemark/internal/simpoint"
 	"phasemark/internal/store"
 	"phasemark/internal/trace"
-	"phasemark/internal/uarch"
-	"phasemark/internal/workloads"
 )
 
-// Request-scoped span names for the pipeline stages. Every stage access
-// — cached or not — gets a span tagged "cache" with the memo outcome
-// (hit | computed | joined), so a request's trace shows both where time
-// went and why (a 200µs pipeline.trace with cache=hit is a memo lookup;
-// the same span with cache=computed is a full interpreter run). Exported
-// alongside store.Span* so telemetry consumers name stages consistently.
+// Request-scoped span names of a cluster request's two unmemoized
+// steps, which sit beside the artifact layer's memoized stages
+// (artifact.SpanProg … SpanTrace) and, like them, carry a "cache" tag:
+// always computed. Exported alongside store.Span* so telemetry consumers
+// name stages consistently.
 const (
-	SpanProg    = "pipeline.prog"
-	SpanGraph   = "pipeline.graph"
-	SpanMarkers = "pipeline.markers"
-	SpanTrace   = "pipeline.trace"
 	SpanProject = "pipeline.project"
 	SpanCluster = "pipeline.cluster"
 )
@@ -156,7 +148,7 @@ func NewSelectResponse(req SelectRequest, set *core.MarkerSet) *SelectResponse {
 }
 
 // NewSegmentResponse builds the response for a canonical request from its
-// traced execution. The service renders its memoized Pipeline.Trace
+// traced execution. The service renders its memoized artifact.Trace
 // result with it; the byte-identity tests render a materializing
 // trace.Run with it and compare.
 func NewSegmentResponse(req SegmentRequest, res *trace.Result) *SegmentResponse {
@@ -237,138 +229,31 @@ func (s SelectSpec) SelectOptions() core.SelectOptions {
 	}
 }
 
-// graphKey identifies a memoized profiled graph.
-type graphKey struct {
-	workload string
-	input    string
+// selection maps a canonical select request onto its artifact key.
+func (r SelectRequest) selection() artifact.Select {
+	return artifact.Select{Workload: r.Workload, Ref: r.Input == InputRef, Opts: r.Options.SelectOptions()}
 }
 
-// Pipeline computes responses for canonical requests over the existing
-// pipeline packages, memoizing every expensive intermediate artifact with
-// singleflight semantics (store.Memo): compiled programs per workload,
-// profiled graphs per (workload, input), marker sets per select request,
-// and traced executions per segment request. The traced execution is the
+// segment maps a canonical segment request onto its artifact key.
+func (r SegmentRequest) segment() artifact.Segment {
+	seg := artifact.Segment{Workload: r.Workload, FixedLen: r.FixedLen}
+	if r.Select != nil {
+		seg.Select = r.Select.selection()
+	}
+	return seg
+}
+
+// Pipeline computes responses for canonical requests. Compiled
+// programs, profiled graphs, marker sets and traced executions come
+// from the artifact layer (internal/artifact), which memoizes each one
+// and opens its span under the request's. The traced execution is the
 // only interpreter run behind a segment: Segment renders it, and every
 // cluster request over it projects and clusters its BBVs afresh, which
-// costs a small fraction of the run. Projections and clusterings are not
-// memoized — the response bytes themselves live in the artifact store.
-//
-// Memory grows with the set of distinct segments requested over the
-// process lifetime: one *trace.Result each, whose sparse BBVs hold at
-// most the program's static block count of entries per interval.
+// costs a small fraction of the run. Projections and clusterings are
+// not memoized — the response bytes themselves live in the artifact
+// store.
 type Pipeline struct {
-	// workers is the goroutine budget of the interpreter runs behind
-	// Graph (core.ProfileRunWorkers) and Trace (trace.Config.Workers):
-	// New sets the share of the machine each of the gate's concurrently
-	// executing requests gets (par.Share); the zero value is their
-	// default, the whole machine. The graph, the traced result, and so
-	// every response byte, are the same at any value.
-	workers int
-
-	progs  store.Memo[string, *minivm.Program]
-	graphs store.Memo[graphKey, *core.Graph]
-	sets   store.Memo[store.Key, *core.MarkerSet]
-	traces store.Memo[store.Key, *trace.Result]
-}
-
-// stage wraps one memoized stage access in a request-scoped span tagged
-// with its cache outcome. The compute closure runs (on the flight
-// leader's goroutine only) under a context whose span is the stage span,
-// so dependency stages nest beneath it in that request's tree.
-func stage[K comparable, V any](ctx context.Context, m *store.Memo[K, V], name, arg string, k K,
-	compute func(context.Context) (V, error)) (V, error) {
-	sp := obs.SpanFromContext(ctx).Child(name, arg)
-	cctx := obs.ContextWithSpan(ctx, sp)
-	v, out, err := m.DoOutcome(k, func() (V, error) { return compute(cctx) })
-	sp.SetTag("cache", out.String())
-	sp.End()
-	return v, err
-}
-
-// prog compiles (memoized) the named workload.
-func (p *Pipeline) prog(ctx context.Context, name string) (*workloads.Workload, *minivm.Program, error) {
-	w, err := workloads.ByName(name)
-	if err != nil {
-		return nil, nil, reqErrf("unknown workload %q", name)
-	}
-	prog, err := stage(ctx, &p.progs, SpanProg, name, name,
-		func(context.Context) (*minivm.Program, error) {
-			return w.Compile(false)
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return w, prog, nil
-}
-
-// Graph profiles (memoized) the workload on the named input.
-func (p *Pipeline) Graph(ctx context.Context, workload, input string) (*core.Graph, error) {
-	w, prog, err := p.prog(ctx, workload)
-	if err != nil {
-		return nil, err
-	}
-	return stage(ctx, &p.graphs, SpanGraph, workload+"/"+input, graphKey{workload, input},
-		func(context.Context) (*core.Graph, error) {
-			args := w.Train
-			if input == InputRef {
-				args = w.Ref
-			}
-			g, err := core.ProfileRunWorkers(prog, p.workers, args...)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", workload, err)
-			}
-			return g, nil
-		})
-}
-
-// Markers selects (memoized) the marker set for a canonical request.
-func (p *Pipeline) Markers(ctx context.Context, req SelectRequest) (*core.MarkerSet, error) {
-	return stage(ctx, &p.sets, SpanMarkers, req.Workload, req.Key(),
-		func(cctx context.Context) (*core.MarkerSet, error) {
-			g, err := p.Graph(cctx, req.Workload, req.Input)
-			if err != nil {
-				return nil, err
-			}
-			return core.SelectMarkers(g, req.Options.SelectOptions()), nil
-		})
-}
-
-// segConfig assembles the trace configuration for a canonical segment
-// request.
-func (p *Pipeline) segConfig(ctx context.Context, req SegmentRequest) (trace.Config, error) {
-	w, prog, err := p.prog(ctx, req.Workload)
-	if err != nil {
-		return trace.Config{}, err
-	}
-	cfg := trace.Config{Prog: prog, Args: w.Ref, CPU: uarch.DefaultConfig()}
-	if req.FixedLen > 0 {
-		cfg.FixedLen = req.FixedLen
-	} else {
-		set, err := p.Markers(ctx, *req.Select)
-		if err != nil {
-			return trace.Config{}, err
-		}
-		cfg.Markers = set
-	}
-	return cfg, nil
-}
-
-// Trace runs (memoized) the segmented ref execution for a canonical
-// request, BBVs included.
-func (p *Pipeline) Trace(ctx context.Context, req SegmentRequest) (*trace.Result, error) {
-	return stage(ctx, &p.traces, SpanTrace, req.Workload, req.Key(),
-		func(cctx context.Context) (*trace.Result, error) {
-			cfg, err := p.segConfig(cctx, req)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Workers = p.workers
-			res, err := trace.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", req.Workload, err)
-			}
-			return res, nil
-		})
+	art *artifact.Pipeline
 }
 
 // computedSpan opens the span of an unmemoized stage, whose cache
@@ -381,7 +266,7 @@ func computedSpan(ctx context.Context, name, arg string) *obs.Span {
 
 // Profile computes the response bytes for a canonical profile request.
 func (p *Pipeline) Profile(ctx context.Context, req ProfileRequest) ([]byte, error) {
-	g, err := p.Graph(ctx, req.Workload, req.Input)
+	g, err := p.art.Graph(ctx, req.Workload, req.Input == InputRef)
 	if err != nil {
 		return nil, err
 	}
@@ -390,7 +275,7 @@ func (p *Pipeline) Profile(ctx context.Context, req ProfileRequest) ([]byte, err
 
 // Select computes the response bytes for a canonical select request.
 func (p *Pipeline) Select(ctx context.Context, req SelectRequest) ([]byte, error) {
-	set, err := p.Markers(ctx, req)
+	set, err := p.art.Markers(ctx, req.selection())
 	if err != nil {
 		return nil, err
 	}
@@ -398,9 +283,9 @@ func (p *Pipeline) Select(ctx context.Context, req SelectRequest) ([]byte, error
 }
 
 // Segment computes the response bytes for a canonical segment request
-// from the memoized traced execution.
+// from its memoized traced execution.
 func (p *Pipeline) Segment(ctx context.Context, req SegmentRequest) ([]byte, error) {
-	res, err := p.Trace(ctx, req)
+	res, err := p.art.Trace(ctx, req.segment())
 	if err != nil {
 		return nil, err
 	}
@@ -412,7 +297,7 @@ func (p *Pipeline) Segment(ctx context.Context, req SegmentRequest) ([]byte, err
 // way simpoint.Classify does, so the bytes match the reference path.
 // Neither step is memoized, so their spans are always cache=computed.
 func (p *Pipeline) Cluster(ctx context.Context, req ClusterRequest) ([]byte, error) {
-	res, err := p.Trace(ctx, req.Segment)
+	res, err := p.art.Trace(ctx, req.Segment.segment())
 	if err != nil {
 		return nil, err
 	}

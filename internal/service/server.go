@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"phasemark/internal/artifact"
 	"phasemark/internal/obs"
 	"phasemark/internal/par"
 	"phasemark/internal/store"
@@ -86,7 +87,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:  cfg,
-		pl:   &Pipeline{workers: par.Share(cfg.workers())},
+		pl:   &Pipeline{art: artifact.New(par.Share(cfg.workers()))},
 		gate: NewGate(cfg.workers(), cfg.queue()),
 		mux:  http.NewServeMux(),
 		slow: obs.NewRing[SlowRequest](slowWindow),
@@ -431,7 +432,7 @@ func wantsPrometheus(r *http.Request) bool {
 }
 
 // handleMetrics serves a snapshot of the internal/obs registry — counters
-// (store + cell + admission + pipeline + per-route RED), gauges,
+// (store + artifact + admission + pipeline + per-route RED), gauges,
 // histograms, and per-stage span aggregates — as indented JSON by default
 // or in the Prometheus text exposition format under content negotiation
 // (see wantsPrometheus).

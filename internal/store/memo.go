@@ -28,8 +28,8 @@ func newFlight[V any]() *flight[V] {
 // Memo is the in-memory counterpart of Store: a keyed, compute-once cache
 // with singleflight semantics for values that are too expensive (or
 // impossible) to serialize to disk — compiled programs, profiled graphs,
-// traced executions. It backs both the phased pipeline and the
-// internal/experiments suite cache. The first requester of a key
+// traced executions. It backs internal/artifact, the memo layer of both
+// the phased pipeline and the experiments suite. The first requester of a key
 // computes, concurrent requesters block on that one computation, and a
 // successful value is cached for the Memo's lifetime. Errors are not
 // cached: waiters of a failed flight share the leader's error, and the
